@@ -37,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"fscoherence"
@@ -294,18 +293,9 @@ func printSampledCells(eng *fscoherence.Runner) {
 // distinct memo key and always executes (with deterministic results, the
 // trace is byte-identical for any -j).
 func traceCell(eng *fscoherence.Runner, bench, protocol string, scale float64, traceOut, metricsOut, filterSpec string) {
-	var p fscoherence.Protocol
-	switch strings.ToLower(protocol) {
-	case "baseline", "mesi":
-		p = fscoherence.Baseline
-	case "fsdetect", "detect":
-		p = fscoherence.FSDetect
-	case "fslite", "lite":
-		p = fscoherence.FSLite
-	case "hybrid":
-		p = fscoherence.Hybrid
-	default:
-		fmt.Fprintf(os.Stderr, "fsexp: unknown -trace-protocol %q\n", protocol)
+	p, err := fscoherence.ParseProtocol(protocol)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fsexp: -trace-protocol:", err)
 		os.Exit(1)
 	}
 	f, err := obs.ParseFilter(filterSpec, fscoherence.DefaultBlockSize())

@@ -44,7 +44,7 @@ import (
 func main() {
 	var (
 		bench    = flag.String("bench", "RC", "benchmark code (see -list)")
-		protocol = flag.String("protocol", "baseline", "baseline | fsdetect | fslite | hybrid")
+		protocol = flag.String("protocol", "baseline", "baseline | fsdetect | fslite")
 		mode     = flag.String("mode", "", "alias for -protocol")
 		variant  = flag.String("variant", "default", "default | padded | huron")
 		scale    = flag.Float64("scale", 1.0, "workload size multiplier")
@@ -104,7 +104,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	p, err := parseProtocol(*protocol)
+	p, err := fscoherence.ParseProtocol(*protocol)
 	if err != nil {
 		fatal(err)
 	}
@@ -315,20 +315,6 @@ func printDetections(r *fscoherence.Result) {
 		fmt.Printf("  %v  episodes=%d writers=%v readers=%v (first at cycle %d)\n",
 			d.Addr, d.Episodes, d.Writers, d.Readers, d.Cycle)
 	}
-}
-
-func parseProtocol(s string) (fscoherence.Protocol, error) {
-	switch strings.ToLower(s) {
-	case "baseline", "mesi":
-		return fscoherence.Baseline, nil
-	case "fsdetect", "detect":
-		return fscoherence.FSDetect, nil
-	case "fslite", "lite":
-		return fscoherence.FSLite, nil
-	case "hybrid":
-		return fscoherence.Hybrid, nil
-	}
-	return 0, fmt.Errorf("unknown protocol %q", s)
 }
 
 func parseVariant(s string) (fscoherence.Variant, error) {

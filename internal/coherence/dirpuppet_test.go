@@ -123,8 +123,8 @@ func TestDirStrayInvAckTolerated(t *testing.T) {
 	// An InvAck with no eviction in progress must be counted as stray, not
 	// crash or corrupt state.
 	dp.sendFrom(2, &network.Msg{Op: network.OpInvAck, Addr: dblk, Requestor: dp.p.SliceNode(0)})
-	if dp.st.Get("dir.stray_acks") != 1 {
-		t.Fatalf("stray acks = %d", dp.st.Get("dir.stray_acks"))
+	if dp.st.Get(stats.CtrDirStrayAcks) != 1 {
+		t.Fatalf("stray acks = %d", dp.st.Get(stats.CtrDirStrayAcks))
 	}
 	if s, _ := dp.dir.StateOf(dblk); s != DirOwned {
 		t.Fatal("state disturbed by stray ack")

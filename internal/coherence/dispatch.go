@@ -11,11 +11,9 @@ import (
 // Table-driven message dispatch, built at package init from the protocol
 // tables in internal/coherence/spec. A message is dispatched by (observed
 // state, opcode): legal pairs invoke the handler the spec's transition rows
-// name (the handlers themselves enforce sub-case guards, so dispatch is
-// byte-identical to the hand-written switch), impossible pairs panic with
-// the spec's reason, and opcodes outside the FSM's event list panic like the
-// switch's default arm. The switch is retained behind Params.SwitchDispatch
-// and `make equiv` proves the two identical.
+// name (the handlers themselves enforce sub-case guards), impossible pairs
+// panic with the spec's reason, and opcodes outside the FSM's event list
+// panic as unexpected messages.
 
 type dispatchEntry struct {
 	legal bool
@@ -34,8 +32,18 @@ var (
 	dirActions [network.NumOps]func(*Dir, *network.Msg)
 	dirLegal   [numDirObs][network.NumOps]dispatchEntry
 
-	l1ObsIdx  map[string]int
-	dirObsIdx map[string]int
+	// Observed-state indices keyed by the controllers' state enums, resolved
+	// once at init so dispatch does no name lookups per message.
+	l1StableObs  [L1Prv + 1]int
+	l1MSHRObs    [mshrWaitChk + 1]int
+	l1WBObs      int
+	dirAbsentObs int
+	dirStableObs [DirPrv + 1]int
+	dirTxnObs    [txnEvict + 1]int
+
+	// Spec state names by index, for protocol-violation panics.
+	l1ObsNames  []string
+	dirObsNames []string
 )
 
 // obsIdx resolves an observed-state name against the spec's state list. A
@@ -50,13 +58,14 @@ func obsIdx(idx map[string]int, fsm, name string) int {
 }
 
 func buildDispatch[C any](f *spec.FSM, methods map[string]func(C, *network.Msg),
-	actions *[network.NumOps]func(C, *network.Msg)) (idx map[string]int, legal [][network.NumOps]dispatchEntry) {
+	actions *[network.NumOps]func(C, *network.Msg)) (idx map[string]int, names []string, legal [][network.NumOps]dispatchEntry) {
 	if err := f.Check(); err != nil {
 		panic(fmt.Sprintf("protocol spec: %v", err))
 	}
 	idx = make(map[string]int, len(f.States))
 	for i, s := range f.States {
 		idx[s.Name] = i
+		names = append(names, s.Name)
 	}
 	legal = make([][network.NumOps]dispatchEntry, len(f.States))
 	for _, tr := range f.Transitions {
@@ -70,7 +79,7 @@ func buildDispatch[C any](f *spec.FSM, methods map[string]func(C, *network.Msg),
 	for _, im := range f.Impossible {
 		legal[idx[im.State]][im.Event] = dispatchEntry{why: im.Why}
 	}
-	return idx, legal
+	return idx, names, legal
 }
 
 func init() {
@@ -88,14 +97,20 @@ func init() {
 		"onTRPrv":       (*L1).onTRPrv,
 		"onInvPrv":      (*L1).onInvPrv,
 		"onWBAck":       (*L1).onWBAck,
-		"onUpd":         (*L1).onUpd,
 	}
-	var l1leg [][network.NumOps]dispatchEntry
-	l1ObsIdx, l1leg = buildDispatch(spec.L1(), l1Methods, &l1Actions)
+	l1Idx, names, l1leg := buildDispatch(spec.L1(), l1Methods, &l1Actions)
 	if len(l1leg) != numL1Obs {
 		panic("spec.L1 state count drifted from numL1Obs")
 	}
 	copy(l1Legal[:], l1leg)
+	l1ObsNames = names
+	for s := range l1StableObs {
+		l1StableObs[s] = obsIdx(l1Idx, "L1", L1State(s).String())
+	}
+	for s := range l1MSHRObs {
+		l1MSHRObs[s] = obsIdx(l1Idx, "L1", mshrState(s).String())
+	}
+	l1WBObs = obsIdx(l1Idx, "L1", "WB")
 
 	dirMethods := map[string]func(*Dir, *network.Msg){
 		"handleRequest":  (*Dir).handleRequest,
@@ -108,76 +123,73 @@ func init() {
 		"onRepMD":        (*Dir).onRepMD,
 		"onMDPhantom":    (*Dir).onMDPhantom,
 	}
-	var dirleg [][network.NumOps]dispatchEntry
-	dirObsIdx, dirleg = buildDispatch(spec.Dir(), dirMethods, &dirActions)
+	dirIdx, names, dirleg := buildDispatch(spec.Dir(), dirMethods, &dirActions)
 	if len(dirleg) != numDirObs {
 		panic("spec.Dir state count drifted from numDirObs")
 	}
 	copy(dirLegal[:], dirleg)
+	dirObsNames = names
+	dirAbsentObs = obsIdx(dirIdx, "Dir", "absent")
+	for s := range dirStableObs {
+		dirStableObs[s] = obsIdx(dirIdx, "Dir", DirState(s).String())
+	}
+	for k := range dirTxnObs {
+		dirTxnObs[k] = obsIdx(dirIdx, "Dir", dirTxnKind(k).String())
+	}
 }
 
 // observedState computes the spec state index governing dispatch for block a:
 // MSHR transaction > resident line (either private level) > WB entry > I.
-func (l *L1) observedState(a memsys.Addr) (int, string) {
+func (l *L1) observedState(a memsys.Addr) int {
 	if tx := l.mshrs[a]; tx != nil {
-		return obsIdx(l1ObsIdx, "L1", tx.state.String()), tx.state.String()
+		return l1MSHRObs[tx.state]
 	}
 	if e := l.peekAny(a); e != nil && e.Payload.state != L1Invalid {
-		return obsIdx(l1ObsIdx, "L1", e.Payload.state.String()), e.Payload.state.String()
+		return l1StableObs[e.Payload.state]
 	}
 	if _, ok := l.wb[a]; ok {
-		return l1ObsIdx["WB"], "WB"
+		return l1WBObs
 	}
-	return l1ObsIdx["I"], "I"
+	return l1StableObs[L1Invalid]
 }
 
 // observedState computes the spec state index for the slice: absent when no
 // entry exists, the transaction kind when busy, else the stable state.
-func (d *Dir) observedState(a memsys.Addr) (int, string) {
+func (d *Dir) observedState(a memsys.Addr) int {
 	e := d.llc.Peek(a) // Peek block-aligns and leaves LRU/stats untouched
 	if e == nil {
-		return dirObsIdx["absent"], "absent"
+		return dirAbsentObs
 	}
 	if tx := e.Payload.txn; tx != nil {
-		return obsIdx(dirObsIdx, "Dir", tx.kind.String()), tx.kind.String()
+		return dirTxnObs[tx.kind]
 	}
-	return obsIdx(dirObsIdx, "Dir", e.Payload.state.String()), e.Payload.state.String()
+	return dirStableObs[e.Payload.state]
 }
 
-// handle dispatches one incoming message through the spec tables (or the
-// retained hand-written switch under Params.SwitchDispatch).
+// handle dispatches one incoming message through the spec tables.
 func (l *L1) handle(m *network.Msg) {
-	if l.params.SwitchDispatch {
-		l.handleSwitch(m)
-		return
-	}
 	fn := l1Actions[m.Op]
 	if fn == nil {
 		panic(fmt.Sprintf("l1 %d: unexpected message %v", l.core, m))
 	}
-	idx, name := l.observedState(m.Addr)
+	idx := l.observedState(m.Addr)
 	if ent := l1Legal[idx][m.Op]; !ent.legal {
 		panic(fmt.Sprintf("l1 %d: protocol violation: %v observed in L1.%s (%s): %v",
-			l.core, m.Op, name, ent.why, m))
+			l.core, m.Op, l1ObsNames[idx], ent.why, m))
 	}
 	fn(l, m)
 }
 
-// handle dispatches one incoming message through the spec tables (or the
-// retained hand-written switch under Params.SwitchDispatch).
+// handle dispatches one incoming message through the spec tables.
 func (d *Dir) handle(m *network.Msg) {
-	if d.params.SwitchDispatch {
-		d.handleSwitch(m)
-		return
-	}
 	fn := dirActions[m.Op]
 	if fn == nil {
 		panic(fmt.Sprintf("dir %d: unexpected message %v", d.slice, m))
 	}
-	idx, name := d.observedState(m.Addr)
+	idx := d.observedState(m.Addr)
 	if ent := dirLegal[idx][m.Op]; !ent.legal {
 		panic(fmt.Sprintf("dir %d: protocol violation: %v observed in Dir.%s (%s): %v",
-			d.slice, m.Op, name, ent.why, m))
+			d.slice, m.Op, dirObsNames[idx], ent.why, m))
 	}
 	fn(d, m)
 }

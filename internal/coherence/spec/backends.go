@@ -1,5 +1,7 @@
 package spec
 
+import "fscoherence/internal/stats"
+
 // Backend documents one protocol backend selectable with -protocol.
 type Backend struct {
 	Name    string // coherence.Protocol String() name
@@ -21,7 +23,7 @@ func Backends() []Backend {
 			Name: "FSDetect", Flag: "fsdetect",
 			Repair: "detect only",
 			Summary: "Baseline plus PAM/SAM byte-access metadata and the FC " +
-				"counter (§IV): flags falsely-shared lines (`fs.lines_flagged`) " +
+				"counter (§IV): flags falsely-shared lines (" + ctr(stats.CtrFSDetected) + ") " +
 				"but never alters coherence actions.",
 		},
 		{
@@ -31,17 +33,6 @@ func Backends() []Backend {
 				"each core gets a writable `L1.PRV` copy, byte-grain CHK " +
 				"requests arbitrate overlap, and termination byte-merges the " +
 				"copies back.",
-		},
-		{
-			Name: "Hybrid", Flag: "hybrid",
-			Repair: "push updates",
-			Summary: "Update-on-falsely-shared-lines variant: instead of " +
-				"privatizing, the directory remembers the sharers each write " +
-				"invalidated on a flagged line (`updSet`) and pushes fresh " +
-				"`Upd` copies when the line is next downgraded to `Dir.S` or " +
-				"written back — invalidate-then-refresh, keeping exact MESI " +
-				"SWMR. Compares the paper's privatization against a classic " +
-				"update-style repair on the same detection metadata.",
 		},
 	}
 }

@@ -1,6 +1,9 @@
 package spec
 
-import "fscoherence/internal/network"
+import (
+	"fscoherence/internal/network"
+	"fscoherence/internal/stats"
+)
 
 // Directory observed-state names: "absent" (no entry), the four stable
 // DirState names, and the five transaction kinds of a busy entry.
@@ -24,6 +27,7 @@ const (
 // one dirTxn); otherwise the entry's stable DirState name.
 func Dir() *FSM {
 	busy := "park in the entry's `pendq`; retried when the transaction completes"
+	stray := "stray ack: counted in " + ctr(stats.CtrDirStrayAcks)
 	reqRows := func(op network.Op, atI, atS, atM, atPRV string) []Transition {
 		return []Transition{
 			t(dirAbsent, op, "", "handleRequest", "allocate an entry (evicting an LLC victim: synchronous drop, `Dir.EVICT` recall or `Dir.PRV_TERM`), fetch from memory → `Dir.MEM_FILL`"),
@@ -67,7 +71,7 @@ func Dir() *FSM {
 				"byte check against the SAM: join the episode with `Data_PRV` on *NoConflict*; otherwise mark true sharing and terminate → `Dir.PRV` / `Dir.PRV_TERM`"),
 			reqRows(network.OpGetX,
 				"`DataExcl` → `Dir.M`",
-				"`Inv` to the other sharers, `DataExcl(AckCount=n)` → `Dir.M` (Hybrid: invalidated sharers of a flagged line are remembered in `updSet` for a later `Upd` push)",
+				"`Inv` to the other sharers, `DataExcl(AckCount=n)` → `Dir.M`",
 				"`Fwd_GetX` to the owner → `Dir.FWD`",
 				"byte check: join with `Data_PRV` / terminate → `Dir.PRV` / `Dir.PRV_TERM`"),
 			reqRows(network.OpUpgrade,
@@ -87,7 +91,7 @@ func Dir() *FSM {
 				"from a current PRV sharer: SAM byte check → `Ack_PRV` / terminate; from a non-sharer: convert to a joining demand"),
 			[]Transition{
 				// WB.
-				t(dirM, network.OpWB, "from the current owner", "onWB", "absorb (update data if `Dirty`), `WBAck` → `Dir.I` — under Hybrid, pending `updSet` pushes fan out `Upd` copies instead → `Dir.S`"),
+				t(dirM, network.OpWB, "from the current owner", "onWB", "absorb (update data if `Dirty`), `WBAck` → `Dir.I`"),
 				t(dirFWD, network.OpWB, "from the old owner — its eviction raced the intervention", "onWB", "absorb, set `wbRace`, defer the `WBAck` to transaction completion; the intervention is served from the evictor's WB buffer (§6.4)"),
 				t(dirEVICT, network.OpWB, "", "onWB", "recall response (or racing eviction): absorb, ack, count toward `expect`; drop the line when complete"),
 				t(dirPRVINIT, network.OpWB, "the owner evicted before `TR_PRV` arrived", "onWB", "the writeback carries the awaited data (`dataSeen`)"),
@@ -101,22 +105,22 @@ func Dir() *FSM {
 				t(dirPRVTERM, network.OpCtrlWB, "", "onCtrlWB", "dataless response: count toward the termination"),
 
 				// InvAck — tolerated everywhere (superset sharer lists).
-				t(dirAbsent, network.OpInvAck, "", "onInvAck", "stray ack from a silently-evicted sharer (§6.1): counted in `dir.stray_acks`"),
-				t(dirI, network.OpInvAck, "", "onInvAck", "stray ack: counted in `dir.stray_acks`"),
-				t(dirS, network.OpInvAck, "", "onInvAck", "stray ack: counted in `dir.stray_acks`"),
-				t(dirM, network.OpInvAck, "", "onInvAck", "stray ack: counted in `dir.stray_acks`"),
-				t(dirPRV, network.OpInvAck, "", "onInvAck", "stray ack: counted in `dir.stray_acks`"),
-				t(dirFWD, network.OpInvAck, "", "onInvAck", "stray ack: counted in `dir.stray_acks`"),
-				t(dirMEM, network.OpInvAck, "", "onInvAck", "stray ack: counted in `dir.stray_acks`"),
-				t(dirPRVINIT, network.OpInvAck, "", "onInvAck", "stray ack: counted in `dir.stray_acks`"),
-				t(dirPRVTERM, network.OpInvAck, "", "onInvAck", "stray ack: counted in `dir.stray_acks`"),
+				t(dirAbsent, network.OpInvAck, "", "onInvAck", "stray ack from a silently-evicted sharer (§6.1): counted in "+ctr(stats.CtrDirStrayAcks)),
+				t(dirI, network.OpInvAck, "", "onInvAck", stray),
+				t(dirS, network.OpInvAck, "", "onInvAck", stray),
+				t(dirM, network.OpInvAck, "", "onInvAck", stray),
+				t(dirPRV, network.OpInvAck, "", "onInvAck", stray),
+				t(dirFWD, network.OpInvAck, "", "onInvAck", stray),
+				t(dirMEM, network.OpInvAck, "", "onInvAck", stray),
+				t(dirPRVINIT, network.OpInvAck, "", "onInvAck", stray),
+				t(dirPRVTERM, network.OpInvAck, "", "onInvAck", stray),
 				t(dirEVICT, network.OpInvAck, "", "onInvAck", "count toward the recall's `expect`; drop the line (dirty data to memory) when complete"),
 
 				// Xfer_Owner_ACK.
 				t(dirFWD, network.OpXferOwnerAck, "", "onXferOwnerAck", "ownership transferred (`Fwd_GetX`): record the new owner → `Dir.M`; a deferred `WBAck` (wbRace) is sent now, the pendq drains"),
 
 				// DataToDir.
-				t(dirFWD, network.OpDataToDir, "", "onDataToDir", "owner's copy on `Fwd_GetS`: absorb, sharers = {old owner (unless `wbRace`), requestor} → `Dir.S` — under Hybrid, pending `updSet` pushes fan out now"),
+				t(dirFWD, network.OpDataToDir, "", "onDataToDir", "owner's copy on `Fwd_GetS`: absorb, sharers = {old owner (unless `wbRace`), requestor} → `Dir.S`"),
 				t(dirPRVINIT, network.OpDataToDir, "", "onDataToDir", "the owner's data for the initiation (`dataSeen`); the initiation proceeds"),
 
 				// REP_MD / MD_Phantom — policy feed, tolerated everywhere.

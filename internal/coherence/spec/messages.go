@@ -36,6 +36,5 @@ func Messages() []Message {
 		{network.OpInvPrv, "dir → PRV sharer", "Terminate the privatized episode; the copy is written back for byte-merging (§V-C)."},
 		{network.OpPrvWB, "L1 → dir", "Privatized copy returned for merging. Carries both the current block (`Data`) and the episode-entry snapshot (`Base`) so reduction words merge as deltas (§VII)."},
 		{network.OpCtrlWB, "L1 → dir", "Dataless response to `Inv_PRV` when no copy is held."},
-		{network.OpUpd, "dir → former sharer", "Hybrid backend only: unsolicited `L1.S` grant pushed to a core the last write invalidated on a falsely-shared line. Carries the block but rides the **control** channel so it FIFO-orders behind any `Inv` the directory sent earlier on the same channel; a core that re-acquired the line (or has any transaction or WB-buffer entry for it) drops the push."},
 	}
 }

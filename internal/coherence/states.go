@@ -2,11 +2,9 @@ package coherence
 
 import "fscoherence/internal/memsys"
 
-// State inventory: the complete set of stable and transient FSM states
-// implemented by the L1 controller (l1.go) and the directory (dir.go),
-// exported so PROTOCOL.md can be verified against the implementation (see
-// protocol_doc_test.go) and so the fuzzing harness (internal/fuzz) can dump
-// and cross-check component states by name.
+// State names: the transient FSM states of the L1 controller (l1.go) and the
+// directory (dir.go) print under the observed-state names of
+// internal/coherence/spec, which dispatch.go resolves at init.
 //
 // Transient-state naming follows the convention of Sorin/Hill/Wood ("A Primer
 // on Memory Consistency and Cache Coherence") used by the paper: IS_D is the
@@ -42,36 +40,6 @@ func (k dirTxnKind) String() string {
 		return "EVICT"
 	}
 	return "txn?"
-}
-
-// L1StableStates lists every stable L1 coherence state.
-func L1StableStates() []L1State {
-	return []L1State{L1Invalid, L1Shared, L1Exclusive, L1Modified, L1Prv}
-}
-
-// L1TransientStates lists the documentation name of every transient
-// (MSHR-resident) L1 state, in enum order.
-func L1TransientStates() []string {
-	out := make([]string, 0, 4)
-	for s := mshrWaitData; s <= mshrWaitChk; s++ {
-		out = append(out, s.String())
-	}
-	return out
-}
-
-// DirStableStates lists every stable directory state.
-func DirStableStates() []DirState {
-	return []DirState{DirIdle, DirShared, DirOwned, DirPrv}
-}
-
-// DirTransientStates lists the documentation name of every transient
-// (transaction-resident) directory state, in enum order.
-func DirTransientStates() []string {
-	out := make([]string, 0, 5)
-	for k := txnFwd; k <= txnEvict; k++ {
-		out = append(out, k.String())
-	}
-	return out
 }
 
 // DirEntry is a snapshot of one directory entry (ForEachEntry).

@@ -93,8 +93,7 @@ func (d *DirSide) OnFetchRequest(addr memsys.Addr, core int) (requestMD, privati
 		m.fc++
 	}
 	d.evaluate(addr, m)
-	repair := d.cfg.Mode == coherence.FSLite || d.cfg.Mode == coherence.Hybrid
-	return d.WantMetadata(addr), m.flagged && repair
+	return d.WantMetadata(addr), m.flagged && d.cfg.Mode == coherence.FSLite
 }
 
 // OnInvalidationsSent updates IC (§IV).
@@ -585,6 +584,3 @@ func (d *DirSide) ReduceMask(addr memsys.Addr, core int) uint64 {
 func (d *DirSide) HasSAMEntry(addr memsys.Addr) bool {
 	return d.sam.peek(addr) != nil
 }
-
-// SAMValid returns the number of valid SAM entries (testing aid).
-func (d *DirSide) SAMValid() int { return d.sam.Valid() }

@@ -68,14 +68,6 @@ func (e *samEntry) hasOtherReader(cfg Config, g, core int) bool {
 	return e.readers[g].HasOther(core)
 }
 
-// hasAnyReader reports whether any core has read grain g.
-func (e *samEntry) hasAnyReader(cfg Config, g int) bool {
-	if cfg.ReaderOpt {
-		return e.lastReader[g] != noCore || e.overflow[g]
-	}
-	return !e.readers[g].Empty()
-}
-
 // readerSet returns the known reader cores of grain g (precise only without
 // ReaderOpt; with ReaderOpt it returns the last reader, which is why the
 // optimization trades away precise reporting, §VI).
@@ -170,9 +162,6 @@ func (s *SAM) peek(addr memsys.Addr) *samEntry {
 // pin marks addr's entry as ineligible for replacement (privatized blocks).
 func (s *SAM) pin(addr memsys.Addr) { s.table.Pin(addr) }
 
-// unpin releases the replacement pin.
-func (s *SAM) unpin(addr memsys.Addr) { s.table.Unpin(addr) }
-
 // ensure returns the entry for addr, allocating (and possibly evicting an
 // LRU victim) if absent. Privatized entries are pinned and therefore only
 // displaced when every way of the set is privatized; a displaced privatized
@@ -252,6 +241,3 @@ func (s *SAM) takeEvictedPrv() []memsys.Addr {
 	s.evictedPrv = nil
 	return out
 }
-
-// Valid returns the number of valid SAM entries (testing aid).
-func (s *SAM) Valid() int { return s.table.CountValid() }

@@ -63,15 +63,6 @@ type Op struct {
 	Async bool
 }
 
-// encodeLE converts v to a Size-byte little-endian slice.
-func encodeLE(v uint64, size int) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	out := make([]byte, size)
-	copy(out, buf[:size])
-	return out
-}
-
 // decodeLE converts a little-endian slice to uint64.
 func decodeLE(b []byte) uint64 {
 	var buf [8]byte

@@ -110,13 +110,6 @@ func (c *Ctx) Load(addr memsys.Addr, size int) uint64 {
 	return c.do(Op{Kind: OpLoad, Addr: addr, Size: size})
 }
 
-// LoadAsync reads a value whose result the thread does not consume; the
-// out-of-order core overlaps it with younger operations.
-func (c *Ctx) LoadAsync(addr memsys.Addr, size int) {
-	checkSize(size)
-	c.do(Op{Kind: OpLoad, Addr: addr, Size: size, Async: true})
-}
-
 // Store writes a size-byte little-endian value.
 func (c *Ctx) Store(addr memsys.Addr, size int, v uint64) {
 	checkSize(size)

@@ -9,13 +9,8 @@ import (
 	"time"
 )
 
-// Protocols is the default protocol sweep. The hybrid backend is opt-in
-// (fsfuzz -protocol hybrid, or AllProtocols) so default campaign numbers stay
-// comparable across revisions.
+// Protocols is the protocol sweep: every backend.
 var Protocols = []string{"baseline", "fsdetect", "fslite"}
-
-// AllProtocols sweeps every backend, including the hybrid update-push one.
-var AllProtocols = []string{"baseline", "fsdetect", "fslite", "hybrid"}
 
 // CampaignConfig drives a multi-seed fuzzing campaign.
 type CampaignConfig struct {

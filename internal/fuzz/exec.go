@@ -25,10 +25,6 @@ type Options struct {
 
 	// Obs optionally attaches the observability layer (replay under -trace).
 	Obs ObsAttacher
-
-	// SwitchDispatch runs the controllers through the retained hand-written
-	// switch instead of the spec-table interpreter (differential testing).
-	SwitchDispatch bool
 }
 
 // ObsAttacher matches *obs.Obs without importing it here; Execute passes it
@@ -153,7 +149,7 @@ func buildReference(p *Program) *reference {
 
 // config assembles the simulation configuration for a program.
 func config(p *Program, opt Options) (sim.Config, error) {
-	mode, err := p.Mode()
+	mode, err := coherence.ParseProtocol(p.Protocol)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -196,7 +192,6 @@ func config(p *Program, opt Options) (sim.Config, error) {
 			cfg.Params.LLCWays = 4
 		}
 	}
-	cfg.Params.SwitchDispatch = opt.SwitchDispatch
 	cfg.Faults = p.Faults.Plan()
 	if opt.Obs != nil {
 		opt.Obs(&cfg)

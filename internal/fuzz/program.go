@@ -156,7 +156,7 @@ type Program struct {
 	// execution depends solely on the fields below).
 	Seed uint64 `json:"seed"`
 
-	// Protocol is "baseline", "fsdetect", "fslite" or "hybrid".
+	// Protocol is "baseline", "fsdetect" or "fslite" (coherence.ParseProtocol).
 	Protocol string `json:"protocol"`
 
 	// Hostile shrinks the caches and detection thresholds (tiny L1/LLC/SAM,
@@ -193,25 +193,10 @@ type Program struct {
 // 8-core Table II system.
 const maxWorkers = 7
 
-// Mode returns the coherence protocol the program runs under.
-func (p *Program) Mode() (coherence.Protocol, error) {
-	switch p.Protocol {
-	case "baseline", "mesi":
-		return coherence.Baseline, nil
-	case "fsdetect":
-		return coherence.FSDetect, nil
-	case "fslite":
-		return coherence.FSLite, nil
-	case "hybrid":
-		return coherence.Hybrid, nil
-	}
-	return 0, fmt.Errorf("fuzz: unknown protocol %q", p.Protocol)
-}
-
 // Validate checks structural limits (thread count, op kinds).
 func (p *Program) Validate() error {
-	if _, err := p.Mode(); err != nil {
-		return err
+	if _, err := coherence.ParseProtocol(p.Protocol); err != nil {
+		return fmt.Errorf("fuzz: %w", err)
 	}
 	if len(p.Threads) == 0 || len(p.Threads) > maxWorkers {
 		return fmt.Errorf("fuzz: %d worker threads (want 1..%d)", len(p.Threads), maxWorkers)

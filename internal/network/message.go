@@ -68,10 +68,6 @@ const (
 	OpPrvWB     // Prv_WB: privatized copy written back for byte merge
 	OpCtrlWB    // Ctrl_WB: dataless response to Inv_PRV when no copy held
 
-	// ---- Hybrid (update push) ----
-
-	OpUpd // Upd: unsolicited S-grant pushed to a former sharer of a falsely-shared line
-
 	opCount
 )
 
@@ -92,7 +88,6 @@ var opNames = [...]string{
 	OpGetCHK: "GetCHK", OpGetXCHK: "GetXCHK",
 	OpAckPrv: "Ack_PRV", OpUpgAckPrv: "UPG_Ack_PRV",
 	OpInvPrv: "Inv_PRV", OpPrvWB: "Prv_WB", OpCtrlWB: "Ctrl_WB",
-	OpUpd: "Upd",
 }
 
 func (o Op) String() string {
@@ -144,12 +139,6 @@ const (
 
 // SizeOf returns the wire size of a message with opcode op and block size bs.
 func SizeOf(op Op, blockSize int) int {
-	if op == OpUpd {
-		// Upd carries a block copy but rides the control channel: a pushed
-		// update must stay FIFO-ordered behind the Inv that preceded it on
-		// the same dir -> core channel (see PROTOCOL.md §2).
-		return HeaderBytes + blockSize
-	}
 	switch ClassOf(op) {
 	case ClassData:
 		return HeaderBytes + blockSize

@@ -215,14 +215,6 @@ func (n *Network) SetTopology(kind TopoKind, hopLatency uint64, cores int) {
 	n.topo = newTopology(kind, hopLatency, n.nodes, cores)
 }
 
-// Topology reports the active topology kind.
-func (n *Network) Topology() TopoKind {
-	if n.topo == nil {
-		return TopoFlat
-	}
-	return n.topo.kind
-}
-
 // MinDeliveryLatency returns the smallest possible cycle count between a
 // Send and the message becoming deliverable: the base Latency on the flat
 // fabric, one hop on a ring or mesh. The conservative parallel engine uses

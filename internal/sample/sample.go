@@ -34,9 +34,6 @@ type Spec struct {
 // Enabled reports whether the spec actually samples (a zero Spec disables).
 func (s Spec) Enabled() bool { return s.Detailed > 0 && s.Warming > 0 }
 
-// Period returns the total accesses per sampling period.
-func (s Spec) Period() uint64 { return s.Detailed + s.Warming }
-
 // String renders the spec in the accepted input syntax.
 func (s Spec) String() string {
 	if !s.Enabled() {

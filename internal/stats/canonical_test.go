@@ -77,6 +77,7 @@ var ctrValueByIdent = map[string]string{
 	"CtrDirInterv":         CtrDirInterv,
 	"CtrDirFetchReq":       CtrDirFetchReq,
 	"CtrDirPendingQ":       CtrDirPendingQ,
+	"CtrDirStrayAcks":      CtrDirStrayAcks,
 	"CtrMemReads":          CtrMemReads,
 	"CtrMemWrites":         CtrMemWrites,
 	"CtrNetMessages":       CtrNetMessages,
@@ -102,8 +103,6 @@ var ctrValueByIdent = map[string]string{
 	"CtrFSContended":       CtrFSContended,
 	"CtrFSPrvMerges":       CtrFSPrvMerges,
 	"CtrFSPrvCycles":       CtrFSPrvCycles,
-	"CtrFSUpdPushes":       CtrFSUpdPushes,
-	"CtrFSUpdInstalls":     CtrFSUpdInstalls,
 	"CtrSAMReplacements":   CtrSAMReplacements,
 	"CtrSAMLookups":        CtrSAMLookups,
 	"CtrPAMUpdates":        CtrPAMUpdates,

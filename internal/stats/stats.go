@@ -20,8 +20,8 @@ import (
 )
 
 // ID addresses one canonical counter slot. The zero-allocation hot paths in
-// network, coherence and cpu use IDs directly (IncID/AddID/MaxID); IDFor maps
-// a canonical name to its ID for code that starts from a string.
+// network, coherence and cpu use IDs directly (IncID/AddID/MaxID); the
+// string-keyed methods map canonical names to their IDs.
 type ID uint8
 
 // Canonical counter IDs, one per Ctr* constant (same order).
@@ -41,6 +41,7 @@ const (
 	IDDirInterv
 	IDDirFetchReq
 	IDDirPendingQ
+	IDDirStrayAcks
 	IDMemReads
 	IDMemWrites
 	IDNetMessages
@@ -66,8 +67,6 @@ const (
 	IDFSContended
 	IDFSPrvMerges
 	IDFSPrvCycles
-	IDFSUpdPushes
-	IDFSUpdInstalls
 	IDSAMReplacements
 	IDSAMLookups
 	IDPAMUpdates
@@ -102,6 +101,7 @@ var idNames = [NumIDs]string{
 	IDDirInterv:         CtrDirInterv,
 	IDDirFetchReq:       CtrDirFetchReq,
 	IDDirPendingQ:       CtrDirPendingQ,
+	IDDirStrayAcks:      CtrDirStrayAcks,
 	IDMemReads:          CtrMemReads,
 	IDMemWrites:         CtrMemWrites,
 	IDNetMessages:       CtrNetMessages,
@@ -127,8 +127,6 @@ var idNames = [NumIDs]string{
 	IDFSContended:       CtrFSContended,
 	IDFSPrvMerges:       CtrFSPrvMerges,
 	IDFSPrvCycles:       CtrFSPrvCycles,
-	IDFSUpdPushes:       CtrFSUpdPushes,
-	IDFSUpdInstalls:     CtrFSUpdInstalls,
 	IDSAMReplacements:   CtrSAMReplacements,
 	IDSAMLookups:        CtrSAMLookups,
 	IDPAMUpdates:        CtrPAMUpdates,
@@ -156,12 +154,6 @@ func init() {
 		idByName[idNames[id]] = id
 		idPeak[id] = IsPeak(idNames[id])
 	}
-}
-
-// IDFor returns the slot ID for a canonical counter name.
-func IDFor(name string) (ID, bool) {
-	id, ok := idByName[name]
-	return id, ok
 }
 
 // Name returns the canonical counter name for a slot ID.
@@ -404,17 +396,18 @@ const (
 	CtrL1DWbDirty  = "l1d.writebacks_dirty"
 
 	// LLC / directory counters.
-	CtrLLCAccesses = "llc.accesses"
-	CtrLLCHits     = "llc.hits"
-	CtrLLCMisses   = "llc.misses"
-	CtrLLCFills    = "llc.fills"
-	CtrLLCEvicts   = "llc.evictions"
-	CtrDirInval    = "dir.invalidations"
-	CtrDirInterv   = "dir.interventions"
-	CtrDirFetchReq = "dir.fetch_requests"
-	CtrDirPendingQ = "dir.pending_queued"
-	CtrMemReads    = "mem.reads"
-	CtrMemWrites   = "mem.writes"
+	CtrLLCAccesses  = "llc.accesses"
+	CtrLLCHits      = "llc.hits"
+	CtrLLCMisses    = "llc.misses"
+	CtrLLCFills     = "llc.fills"
+	CtrLLCEvicts    = "llc.evictions"
+	CtrDirInval     = "dir.invalidations"
+	CtrDirInterv    = "dir.interventions"
+	CtrDirFetchReq  = "dir.fetch_requests"
+	CtrDirPendingQ  = "dir.pending_queued"
+	CtrDirStrayAcks = "dir.stray_acks"
+	CtrMemReads     = "mem.reads"
+	CtrMemWrites    = "mem.writes"
 
 	// Network counters (also broken down per message class by the network).
 	CtrNetMessages = "net.messages"
@@ -446,8 +439,6 @@ const (
 	CtrFSContended       = "fs.contended_lines"
 	CtrFSPrvMerges       = "fs.prv_merges"
 	CtrFSPrvCycles       = "fs.prv_cycles"
-	CtrFSUpdPushes       = "fs.upd_pushes"
-	CtrFSUpdInstalls     = "fs.upd_installs"
 	CtrSAMReplacements   = "sam.valid_replacements"
 	CtrSAMLookups        = "sam.lookups"
 	CtrPAMUpdates        = "pam.updates"
@@ -493,6 +484,7 @@ func Canonical() []Counter {
 		{CtrDirInterv, "owner interventions (forwarded requests)"},
 		{CtrDirFetchReq, "owner data fetches for recall/writeback"},
 		{CtrDirPendingQ, "requests queued behind a busy directory line"},
+		{CtrDirStrayAcks, "invalidation acks for lines no longer awaiting them (§6.1)"},
 		{CtrMemReads, "main-memory read accesses"},
 		{CtrMemWrites, "main-memory write accesses"},
 		{CtrNetMessages, "interconnect messages sent"},
@@ -518,8 +510,6 @@ func Canonical() []Counter {
 		{CtrFSContended, "lines classified as contended truly-shared"},
 		{CtrFSPrvMerges, "privatized per-core copies byte-merged back"},
 		{CtrFSPrvCycles, "cycles lines spent privatized (summed over completed episodes)"},
-		{CtrFSUpdPushes, "Upd copies pushed by the hybrid backend"},
-		{CtrFSUpdInstalls, "pushed Upd copies installed by cores"},
 		{CtrSAMReplacements, "SAM entries evicted while valid"},
 		{CtrSAMLookups, "SAM table lookups"},
 		{CtrPAMUpdates, "PAM metadata updates"},

@@ -98,7 +98,7 @@ type Spec struct {
 
 	// BuildN, when set, marks a machine-scalable workload: it builds one
 	// thread per core for any requested core count (big-machine configs;
-	// see BuildFullN). Build remains the fixed default-machine shape.
+	// see BuildLabeled). Build remains the fixed default-machine shape.
 	BuildN func(a *Arena, v Variant, s Scale, threads int) []cpu.ThreadFunc
 }
 
@@ -138,18 +138,6 @@ func (s *Spec) BuildLabeled(v Variant, sc Scale, n int) ([]cpu.ThreadFunc, []coh
 		return ths, regions, a.GroundTruth()
 	}
 	return s.Build(a, v, sc), nil, a.GroundTruth()
-}
-
-// BuildFull constructs threads and reduction regions for a spec.
-func (s *Spec) BuildFull(v Variant, sc Scale) ([]cpu.ThreadFunc, []coherence.AddrRange) {
-	ths, regions, _ := s.BuildLabeled(v, sc, 0)
-	return ths, regions
-}
-
-// BuildFullN builds threads for an n-core machine (see BuildLabeled).
-func (s *Spec) BuildFullN(v Variant, sc Scale, n int) ([]cpu.ThreadFunc, []coherence.AddrRange) {
-	ths, regions, _ := s.BuildLabeled(v, sc, n)
-	return ths, regions
 }
 
 // ByName returns the benchmark model with the given code.

@@ -24,8 +24,11 @@ const (
 	Baseline = coherence.Baseline
 	FSDetect = coherence.FSDetect
 	FSLite   = coherence.FSLite
-	Hybrid   = coherence.Hybrid
 )
+
+// ParseProtocol maps a -protocol flag value (baseline, fsdetect or fslite,
+// case-insensitive; aliases mesi, detect, lite) to a Protocol.
+func ParseProtocol(s string) (Protocol, error) { return coherence.ParseProtocol(s) }
 
 // Variant selects the workload data layout.
 type Variant = workload.Variant
@@ -136,12 +139,6 @@ type Options struct {
 	// default machine shape: skip engine, in-order cores, two-level inclusive
 	// hierarchy, no Verify/Obs/Forensics attachments.
 	Sample string
-
-	// SwitchDispatch routes coherence messages through the retained
-	// hand-written switch instead of the spec-table interpreter
-	// (internal/coherence/dispatch.go). The two are byte-identical
-	// (`make equiv`); the flag exists for that proof.
-	SwitchDispatch bool
 }
 
 // Result summarizes one run.
@@ -260,27 +257,30 @@ func validateMachine(opt Options) error {
 		if _, err := sample.ParseSpec(opt.Sample); err != nil {
 			return err
 		}
-		// The warming fast path models exactly the default machine: in-order
-		// cores over a two-level inclusive hierarchy with no observers. Reject
-		// everything else up front with a useful message.
-		switch {
-		case opt.Engine != "" && opt.Engine != "skip":
-			return fmt.Errorf("-sample requires the skip engine, not %q", opt.Engine)
-		case opt.OOO:
-			return fmt.Errorf("-sample supports only the in-order core model")
-		case opt.Verify:
-			return fmt.Errorf("-sample is incompatible with -verify: warming commits bypass the golden-memory oracle")
-		case opt.Obs != nil:
-			return fmt.Errorf("-sample is incompatible with observability attachments: warming commits emit no events")
-		case opt.Forensics != nil:
-			return fmt.Errorf("-sample is incompatible with forensics recording: warming commits emit no events")
-		case opt.L2KB > 0:
-			return fmt.Errorf("-sample requires the two-level hierarchy (drop -l2kb)")
-		case opt.NonInclusiveLLC:
-			return fmt.Errorf("-sample requires the inclusive LLC (drop -noninclusive)")
-		case opt.Protocol == Hybrid:
-			return fmt.Errorf("-sample does not support the hybrid backend (Upd pushes have no warming fast path)")
-		}
+		return sampleIncompatible(opt)
+	}
+	return nil
+}
+
+// sampleIncompatible reports why opt cannot run under interval sampling, or
+// nil when it can. The warming fast path models exactly the default machine:
+// in-order cores over a two-level inclusive hierarchy with no observers.
+func sampleIncompatible(opt Options) error {
+	switch {
+	case opt.Engine != "" && opt.Engine != "skip":
+		return fmt.Errorf("-sample requires the skip engine, not %q", opt.Engine)
+	case opt.OOO:
+		return fmt.Errorf("-sample supports only the in-order core model")
+	case opt.Verify:
+		return fmt.Errorf("-sample is incompatible with -verify: warming commits bypass the golden-memory oracle")
+	case opt.Obs != nil:
+		return fmt.Errorf("-sample is incompatible with observability attachments: warming commits emit no events")
+	case opt.Forensics != nil:
+		return fmt.Errorf("-sample is incompatible with forensics recording: warming commits emit no events")
+	case opt.L2KB > 0:
+		return fmt.Errorf("-sample requires the two-level hierarchy (drop -l2kb)")
+	case opt.NonInclusiveLLC:
+		return fmt.Errorf("-sample requires the inclusive LLC (drop -noninclusive)")
 	}
 	return nil
 }
@@ -337,7 +337,6 @@ func buildConfig(opt Options) sim.Config {
 		panic(fmt.Sprintf("fscoherence: %v", err))
 	}
 	cfg.Params.Topology = kind
-	cfg.Params.SwitchDispatch = opt.SwitchDispatch
 	cfg.Shards = opt.Shards
 	cfg.Obs = opt.Obs
 	cfg.Forensics = opt.Forensics

@@ -75,14 +75,6 @@ func (r *Runner) SetEngine(engine string) { r.engine = engine }
 // attachments) run fully timed instead, so mixed sweeps still complete.
 func (r *Runner) SetSample(spec string) { r.sample = spec }
 
-// sampleCompatible reports whether a cell may run under interval sampling
-// (mirrors validateMachine's -sample gating).
-func sampleCompatible(opt Options) bool {
-	return (opt.Engine == "" || opt.Engine == "skip") &&
-		!opt.OOO && !opt.Verify && opt.Obs == nil && opt.Forensics == nil &&
-		opt.L2KB == 0 && !opt.NonInclusiveLLC && opt.Protocol != Hybrid
-}
-
 // SampledCells returns every distinct cell that completed as an interval-
 // sampled run, in a deterministic order (benchmark, then protocol, then
 // variant). Call after Wait.
@@ -190,7 +182,7 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 	if opt.Shards == 0 {
 		opt.Shards = r.shards
 	}
-	if opt.Sample == "" && r.sample != "" && sampleCompatible(opt) {
+	if opt.Sample == "" && r.sample != "" && sampleIncompatible(opt) == nil {
 		opt.Sample = r.sample
 	}
 	key := cellKey{Bench: bench, Opt: opt}
