@@ -82,7 +82,7 @@ race:
 # dispatch reproducing its pinned results across {naive,skip,parallel} x
 # {flat,mesh} (engine_test.go).
 equiv:
-	$(GO) test -run 'TestEngine' -count=1 .
+	$(GO) test -run 'TestEngine' -count=1 . ./internal/sim/
 
 # The steady-state network round trip, the parallel engine's epoch loop and
 # the disabled forensics recorder must not allocate; the benchmark's

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fscoherence/internal/forensics"
 	"fscoherence/internal/obs"
 	"fscoherence/internal/workload"
 )
@@ -182,6 +183,87 @@ func TestEngineEquivalenceVerified(t *testing.T) {
 			}
 			if !reflect.DeepEqual(naive.Stats.Snapshot(), skip.Stats.Snapshot()) {
 				t.Error("counter snapshots diverge under verification")
+			}
+		})
+	}
+}
+
+// TestEngineEquivalenceAttachments extends the naive-vs-skip comparison to
+// the machine shapes and attachments the workload matrix above leaves out:
+// the out-of-order core, a private L2 (behind an L1 small enough to spill
+// into it), the non-inclusive LLC, the forensics
+// recorder and interval metrics sampled every few cycles. Each cell must match
+// in cycles, canonical counters and detections, and an attachment's own output
+// (forensics lines, metric samples, trace events) must match too. The fault
+// plan cell lives in internal/sim, where a FaultPlan can be installed.
+func TestEngineEquivalenceAttachments(t *testing.T) {
+	cells := []struct {
+		name  string
+		bench string
+		opt   Options
+	}{
+		{"ooo", "RC", Options{Protocol: FSLite, OOO: true}},
+		{"ooo-baseline", "LR", Options{Protocol: Baseline, OOO: true}},
+		{"l2", "LR", Options{Protocol: FSLite, L1KB: 2, L2KB: 8}},
+		{"l2-barrier", "BS", Options{Protocol: FSDetect, L1KB: 2, L2KB: 8}},
+		{"noninclusive", "RC", Options{Protocol: FSLite, NonInclusiveLLC: true}},
+		{"noninclusive-lock", "LR", Options{Protocol: FSLite, NonInclusiveLLC: true}},
+		{"forensics", "RC", Options{Protocol: FSDetect}},
+		{"metrics", "LR", Options{Protocol: FSLite}},
+	}
+	for _, c := range cells {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			run := func(engine string) (*Result, *forensics.Recorder, *obs.Obs) {
+				opt := c.opt
+				opt.Scale = 1
+				opt.Engine = engine
+				switch c.name {
+				case "forensics":
+					opt.Forensics = forensics.New()
+				case "metrics":
+					opt.Obs = obs.New(obs.Config{MetricsInterval: 37})
+				}
+				res, err := Run(c.bench, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", engine, err)
+				}
+				return res, opt.Forensics, opt.Obs
+			}
+			naive, nrec, nobs := run("naive")
+			skip, srec, sobs := run("skip")
+			if naive.Cycles != skip.Cycles {
+				t.Errorf("cycles diverge: naive=%d skip=%d", naive.Cycles, skip.Cycles)
+			}
+			if n, s := statsDigest(naive), statsDigest(skip); n != s {
+				t.Errorf("canonical counters diverge: naive=%s skip=%s", n, s)
+			}
+			if !reflect.DeepEqual(naive.Detections, skip.Detections) {
+				t.Errorf("detections diverge:\nnaive: %v\nskip:  %v", naive.Detections, skip.Detections)
+			}
+			if !reflect.DeepEqual(naive.Contended, skip.Contended) {
+				t.Errorf("contended lists diverge:\nnaive: %v\nskip:  %v", naive.Contended, skip.Contended)
+			}
+			if nrec != nil {
+				if len(nrec.Lines()) == 0 {
+					t.Error("forensics recorded no lines")
+				}
+				if !reflect.DeepEqual(nrec.Lines(), srec.Lines()) {
+					t.Error("forensics reports diverge")
+				}
+			}
+			if nobs != nil {
+				ns, ss := nobs.Metrics.Samples(), sobs.Metrics.Samples()
+				if len(ns) < 10 {
+					t.Errorf("only %d metric samples", len(ns))
+				}
+				if !reflect.DeepEqual(ns, ss) {
+					t.Errorf("metric samples diverge: naive=%d samples, skip=%d", len(ns), len(ss))
+				}
+				if !reflect.DeepEqual(nobs.Tracer.Events(), sobs.Tracer.Events()) {
+					t.Error("trace events diverge")
+				}
 			}
 		})
 	}
