@@ -77,19 +77,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Cross-engine determinism: every workload x protocol under both engines,
-# plus golden-trace and figure-table byte-equality, plus the spec-table
-# dispatch reproducing its pinned results across {naive,skip,parallel} x
-# {flat,mesh} (engine_test.go).
+# Cross-engine determinism: every workload x protocol under the naive and
+# skip policies of the one stepper, the parallel engine on the big-machine
+# matrix, the machine shapes and attachments of
+# TestEngineEquivalenceAttachments (OOO, L2, non-inclusive LLC, forensics,
+# metrics, fault plans), golden-trace and figure-table byte-equality, and the
+# spec-table dispatch reproducing its pinned results across
+# {naive,skip,parallel} x {flat,mesh} (engine_test.go, internal/sim).
 equiv:
 	$(GO) test -run 'TestEngine' -count=1 . ./internal/sim/
 
-# The steady-state network round trip, the parallel engine's epoch loop and
-# the disabled forensics recorder must not allocate; the benchmark's
-# allocs/op plus the four tests gate it.
+# The steady-state network round trip and replay, the sequential run loop,
+# the parallel engine's epoch loop, functional warming and the disabled
+# forensics recorder must not allocate; the benchmark's allocs/op plus the
+# six tests gate it.
 allocsmoke:
 	$(GO) test -run 'TestSendRecvDoesNotAllocate|TestReplayDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
-	$(GO) test -run 'TestParallelEpochDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/
+	$(GO) test -run 'TestSkipLoopDoesNotAllocate|TestParallelEpochDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/
 	$(GO) test -run 'TestForensicsDisabledDoesNotAllocate' -count=1 ./internal/forensics/
 
 # Sampled-vs-full tolerance gate plus cross-worker determinism of the sampled

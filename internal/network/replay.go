@@ -38,8 +38,11 @@ type Recorder struct {
 
 // Begin marks the start of one component's tick: operations recorded until
 // the next Begin belong to (cycle, rank) and are numbered in program order.
+// A nil Recorder ignores it (a network that admits sends directly).
 func (r *Recorder) Begin(cycle uint64, rank int32) {
-	r.cycle, r.rank, r.idx = cycle, rank, 0
+	if r != nil {
+		r.cycle, r.rank, r.idx = cycle, rank, 0
+	}
 }
 
 func (r *Recorder) recordSend(m *Msg, extra uint64) {

@@ -75,24 +75,14 @@ func DecodeMachineState(data []byte) (*MachineState, error) {
 }
 
 // checkpointable reports whether the system supports checkpoint/restore,
-// with the reason when it cannot. The supported shape matches the sampling
-// gate — sequential skip engine, in-order cores, two-level inclusive
-// hierarchy — and additionally excludes every attachment whose state is not
-// serialized: oracles, observers, fault plans, tracing, metrics, forensics.
+// with the reason when it cannot. The supported shape is the sampling shape
+// (sampleable) minus every further attachment whose state is not
+// serialized: SWMR scanning, fault plans, tracing, metrics, forensics.
 func (s *System) checkpointable() error {
+	if err := s.sampleable("checkpointing"); err != nil {
+		return err
+	}
 	switch {
-	case s.par != nil:
-		return fmt.Errorf("sim: checkpointing requires a sequential engine")
-	case s.cfg.Engine == EngineNaive:
-		return fmt.Errorf("sim: checkpointing requires the skip engine")
-	case s.cfg.OOO:
-		return fmt.Errorf("sim: checkpointing requires in-order cores")
-	case s.cfg.Params.L2Entries > 0:
-		return fmt.Errorf("sim: checkpointing requires a two-level hierarchy (no private L2)")
-	case s.cfg.Params.NonInclusiveLLC:
-		return fmt.Errorf("sim: checkpointing requires an inclusive LLC")
-	case s.oracle != nil || s.observerInstalled:
-		return fmt.Errorf("sim: checkpointing is incompatible with commit observers and the load oracle")
 	case s.cfg.CheckSWMR:
 		return fmt.Errorf("sim: checkpointing is incompatible with SWMR scanning (scan state is not serialized)")
 	case s.cfg.Faults != nil:
@@ -111,7 +101,7 @@ func (s *System) Snapshot() (*MachineState, error) {
 	if err := s.checkpointable(); err != nil {
 		return nil, err
 	}
-	if !s.drained() {
+	if !s.seq.quiescent(true) {
 		return nil, fmt.Errorf("sim: snapshot of an undrained machine (cycle %d)", s.cycle)
 	}
 	ms := &MachineState{
@@ -207,6 +197,7 @@ func (s *System) Restore(ms *MachineState) error {
 	s.stats.CopyFrom(ms.Stats)
 	s.cycle = ms.Cycle
 	s.resumedSample = ms.Sample
+	s.seq.wakeAll()
 	return nil
 }
 
@@ -246,56 +237,19 @@ func (s *System) runCheckpointed(name string, maxCycles uint64) (*Result, error)
 	if err := s.checkpointable(); err != nil {
 		return nil, err
 	}
-	st := s.stats
-	every := s.cfg.CheckpointEvery
-	cores := make([]*cpu.InOrder, len(s.cores))
-	for i, c := range s.cores {
-		cores[i] = c.(*cpu.InOrder)
-	}
 	for {
 		// Timed window: the ordinary skip-engine loop, until the access
 		// budget is spent or the workload finishes.
-		winAcc := st.GetID(stats.IDL1DAccesses)
-		finished := false
-		for st.GetID(stats.IDL1DAccesses)-winAcc < every {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if s.done() {
-				finished = true
-				break
-			}
-			s.skipAhead(maxCycles)
+		finished, err := s.advance(name, maxCycles, s.cfg.CheckpointEvery, false)
+		if err != nil {
+			return nil, err
 		}
 		if finished {
 			break
 		}
-
-		// Drain: hold issue on every core and let in-flight accesses retire.
-		for _, c := range cores {
-			c.HoldIssue(true)
+		if err := s.drain(name, maxCycles); err != nil {
+			return nil, err
 		}
-		for !s.drained() {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s, draining)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if !s.drained() {
-				s.skipAhead(maxCycles)
-			}
-		}
-
 		if s.cfg.CheckpointSink != nil {
 			if err := s.emitCheckpoint(name, nil); err != nil {
 				return nil, err
@@ -304,9 +258,30 @@ func (s *System) runCheckpointed(name string, maxCycles uint64) (*Result, error)
 		if s.boundaryHook != nil {
 			s.boundaryHook(s.cycle)
 		}
-		for _, c := range cores {
-			c.HoldIssue(false)
-		}
+		s.release()
 	}
 	return s.buildResult(name), nil
+}
+
+// drain holds issue on every core and steps until the accesses in flight
+// retire, leaving the machine quiescent for a window boundary.
+func (s *System) drain(name string, maxCycles uint64) error {
+	for _, c := range s.cores {
+		c.(*cpu.InOrder).HoldIssue(true)
+	}
+	if s.seq.quiescent(true) {
+		return nil
+	}
+	_, err := s.advance(name, maxCycles, noBudget, true)
+	return err
+}
+
+// release lifts the issue hold after a window boundary. A held core's
+// wake-up was NoEvent, and a warming window changes caches, directories and
+// cores outside their ticks, so every component is due again.
+func (s *System) release() {
+	for _, c := range s.cores {
+		c.(*cpu.InOrder).HoldIssue(false)
+	}
+	s.seq.wakeAll()
 }

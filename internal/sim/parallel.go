@@ -10,8 +10,9 @@ package sim
 // at cycle c can therefore never need delivery before c+L, which makes L a
 // conservative lookahead: the engine advances time in epochs of width L, and
 // within an epoch every shard simulates its own components independently on
-// its own OS thread, running the same quiescence-skipping loop the
-// sequential EngineSkip uses — restricted to local events.
+// its own OS thread. Each shard is stepped by the same due-only stepper the
+// sequential engines use (step.go), under the skip policy and restricted to
+// local events; this file adds only the epochs, the workers and the replay.
 //
 // Correctness (byte-identical results, proven by TestEngineEquivalence*)
 // rests on deferred-send replay: during an epoch a shard's network front
@@ -32,7 +33,6 @@ import (
 	"runtime"
 
 	"fscoherence/internal/coherence"
-	"fscoherence/internal/cpu"
 	"fscoherence/internal/memsys"
 	"fscoherence/internal/network"
 	"fscoherence/internal/stats"
@@ -83,37 +83,13 @@ func minDeliveryLatency(p coherence.Params) uint64 {
 	return p.NetLatency
 }
 
-// parShard is one worker's slice of the machine.
+// parShard is one worker's shard of the machine plus its epoch bookkeeping.
 type parShard struct {
-	id    int
-	clock uint64 // local current cycle; read by component Now closures
-
-	net   *network.Network // deferred-mode network front
-	rec   *network.Recorder
-	stats *stats.Set
-	mem   *memsys.Memory // backing memory for this shard's slices
-
-	dirs     []*coherence.Dir
-	dirRank  []int32
-	l1s      []*coherence.L1
-	l1Rank   []int32
-	cores    []cpu.Core
-	coreRank []int32
-
-	now        uint64 // last cycle stepped or skipped over
-	lastActive uint64 // last cycle actually stepped (a local event fired)
-	quiet      bool   // all local components idle at epoch end
-	l1Act      []bool // per-step scratch: which L1s ticked this cycle
-
-	// Cached NextEvent per component, refreshed after each tick (a
-	// component's wake-up only moves when it ticks; the zero value marks
-	// everything due so the first stepped cycle ticks the full shard and
-	// seeds the caches).
-	dirNext  []uint64
-	l1Next   []uint64
-	coreNext []uint64
-
-	cmd chan uint64 // epoch-end commands from the coordinator
+	shard
+	id         int
+	lastActive uint64      // last cycle actually stepped (a local event fired)
+	quiet      bool        // shard quiescent at epoch end
+	cmd        chan uint64 // epoch-end commands from the coordinator
 }
 
 // parRunner coordinates the shard workers.
@@ -128,19 +104,22 @@ type parRunner struct {
 }
 
 // newParRunner builds the shard skeletons (networks, stats sets, recorders,
-// memory partitions) before component construction; bind() attaches the
-// components afterwards.
+// memory partitions) before component construction; System.bindShards
+// attaches the components afterwards.
 func newParRunner(s *System, k int) *parRunner {
 	p := s.cfg.Params
 	pr := &parRunner{s: s, done: make(chan int, k)}
 	for i := 0; i < k; i++ {
 		sh := &parShard{
-			id:    i,
-			net:   network.New(p.Nodes(), p.NetLatency, p.BlockSize, stats.NewSet()),
-			rec:   &network.Recorder{},
-			stats: stats.NewSet(),
-			mem:   memsys.NewMemory(p.BlockSize),
-			cmd:   make(chan uint64, 1),
+			shard: shard{
+				clock: new(uint64),
+				net:   network.New(p.Nodes(), p.NetLatency, p.BlockSize, stats.NewSet()),
+				rec:   &network.Recorder{},
+				stats: stats.NewSet(),
+				mem:   memsys.NewMemory(p.BlockSize),
+			},
+			id:  i,
+			cmd: make(chan uint64, 1),
 		}
 		sh.net.SetRecorder(sh.rec)
 		pr.shards = append(pr.shards, sh)
@@ -157,35 +136,6 @@ func newParRunner(s *System, k int) *parRunner {
 		pr.owner[m.Dst].net.Deliver(m, readyAt)
 	}
 	return pr
-}
-
-// bind distributes the constructed components to their shards and assigns
-// global tick ranks matching the sequential stepCycle order: directory
-// slices first, then L1s, then cores.
-func (pr *parRunner) bind() {
-	s := pr.s
-	p := s.cfg.Params
-	k := len(pr.shards)
-	for j, d := range s.dirs {
-		sh := pr.shards[j*k/p.Slices]
-		sh.dirs = append(sh.dirs, d)
-		sh.dirRank = append(sh.dirRank, int32(j))
-	}
-	for i, l := range s.l1s {
-		sh := pr.shards[i*k/p.Cores]
-		sh.l1s = append(sh.l1s, l)
-		sh.l1Rank = append(sh.l1Rank, int32(p.Slices+i))
-	}
-	for i, c := range s.cores {
-		sh := pr.shards[i*k/p.Cores]
-		sh.cores = append(sh.cores, c)
-		sh.coreRank = append(sh.coreRank, int32(p.Slices+p.Cores+i))
-	}
-	for _, sh := range pr.shards {
-		sh.dirNext = make([]uint64, len(sh.dirs))
-		sh.l1Next = make([]uint64, len(sh.l1s))
-		sh.coreNext = make([]uint64, len(sh.cores))
-	}
 }
 
 // start launches one worker goroutine per shard.
@@ -211,8 +161,8 @@ func (pr *parRunner) stop() {
 }
 
 // run executes the epoch loop to completion and returns the final cycle —
-// the cycle at which the sequential engines' done() would first have
-// reported quiescence.
+// the cycle after which the sequential engines would first have found the
+// machine quiescent.
 //
 // Two refinements keep the loop competitive with the sequential engines even
 // on a single hardware thread. First, on a GOMAXPROCS=1 host the coordinator
@@ -246,9 +196,7 @@ func (pr *parRunner) run(name string, maxCycles uint64) (uint64, error) {
 		// every delivery deadline at or beyond the next barrier.
 		wake := uint64(coherence.NoEvent)
 		for _, sh := range pr.shards {
-			if e := sh.nextLocal(); e < wake {
-				wake = e
-			}
+			wake = min(wake, sh.nextWake())
 		}
 		if wake < t {
 			wake = t
@@ -308,142 +256,20 @@ func (sh *parShard) serve(done chan<- int) {
 	}
 }
 
-// runEpoch advances the shard's components through cycles [sh.now+1, end)
-// with the same event-driven skipping the sequential EngineSkip performs,
-// restricted to local events: component wake-ups and already-delivered
-// message arrivals. All sends land in the recorder for barrier replay.
+// runEpoch advances the shard through cycles [clock+1, end) under the skip
+// policy, restricted to local events: component wake-ups and already-
+// delivered message arrivals. All sends land in the recorder for barrier
+// replay. The shard idles through the rest of the epoch, with the per-cycle
+// stall accounting a sequential skip over the same span would apply.
 func (sh *parShard) runEpoch(end uint64) {
-	now := sh.now
 	for {
-		wake := sh.nextLocal()
-		if wake >= end {
+		sh.skipTo(end)
+		c := *sh.clock + 1
+		if c >= end {
 			break
 		}
-		if wake <= now {
-			// Leftover deliverable work (e.g. a MaxMsgsPerCycle-capped
-			// tick): the very next cycle has work.
-			wake = now + 1
-			if wake >= end {
-				break
-			}
-		}
-		if d := wake - now - 1; d > 0 {
-			for _, c := range sh.cores {
-				c.SkipIdle(d)
-			}
-		}
-		now = wake
-		sh.step(now)
-		sh.lastActive = now
+		sh.step(c, false)
+		sh.lastActive = c
 	}
-	// Idle through the rest of the epoch, compensating per-cycle stall
-	// accounting exactly as a sequential skip over the same span would.
-	if e := end - 1; e > now {
-		d := e - now
-		for _, c := range sh.cores {
-			c.SkipIdle(d)
-		}
-		now = e
-	}
-	sh.now = now
-	sh.quiet = sh.isQuiet()
-}
-
-// nextLocal reports the earliest cycle at which any local component has
-// self-driven work or a delivered message becomes consumable (values <=
-// sh.now mean leftover same-cycle work). Component wake-ups come from the
-// per-component caches — a component's NextEvent only changes when it ticks,
-// and step refreshes the cache after every tick — so the scan is a flat
-// uint64 min, not a round of interface calls. The coordinator also polls
-// this at the epoch barrier to stretch the next epoch.
-func (sh *parShard) nextLocal() uint64 {
-	wake := sh.net.NextArrival()
-	for _, v := range sh.dirNext {
-		if v < wake {
-			wake = v
-		}
-	}
-	for _, v := range sh.l1Next {
-		if v < wake {
-			wake = v
-		}
-	}
-	for _, v := range sh.coreNext {
-		if v < wake {
-			wake = v
-		}
-	}
-	return wake
-}
-
-// step runs one local cycle in sequential component order, labelling each
-// component's recorded network operations with its global tick rank.
-//
-// Within a stepped cycle only components that are due run: a component whose
-// cached NextEvent lies beyond c would tick as a pure no-op (that is exactly
-// the contract whole-machine skipping is built on), so its tick is elided.
-// Three details keep that sound. An elided core still needs the per-cycle
-// stall accounting a no-op tick would have performed, which SkipIdle(1)
-// supplies. A core and its L1 always tick as a pair — a core Submit
-// schedules completions against its L1's clock (and a retry can only clear
-// after L1 state changes), while an L1 completion can unblock its core the
-// same cycle — so either being due ticks both (bind distributes l1s[i] and
-// cores[i] by the same index formula, so they pair up); the L1's cache is
-// refreshed after its core ticks, since the core's Submit schedules into the
-// L1. And delivered network arrivals are consumed inside L1/Dir ticks, so
-// any due arrival runs every L1 and directory.
-func (sh *parShard) step(c uint64) {
-	sh.clock = c
-	sh.net.SetCycle(c)
-	arrivals := sh.net.NextArrival() <= c
-	for i, d := range sh.dirs {
-		if arrivals || sh.dirNext[i] <= c {
-			sh.rec.Begin(c, sh.dirRank[i])
-			d.Tick(c)
-			sh.dirNext[i] = d.NextEvent(c)
-		}
-	}
-	if cap(sh.l1Act) < len(sh.l1s) {
-		sh.l1Act = make([]bool, len(sh.l1s))
-	}
-	l1Act := sh.l1Act[:len(sh.l1s)]
-	for i, l := range sh.l1s {
-		l1Act[i] = arrivals || sh.l1Next[i] <= c || sh.coreNext[i] <= c
-		if l1Act[i] {
-			sh.rec.Begin(c, sh.l1Rank[i])
-			l.Tick(c)
-		}
-	}
-	for i, co := range sh.cores {
-		if l1Act[i] {
-			sh.rec.Begin(c, sh.coreRank[i])
-			co.Tick(c)
-			sh.coreNext[i] = co.NextEvent(c)
-			sh.l1Next[i] = sh.l1s[i].NextEvent(c)
-		} else {
-			co.SkipIdle(1)
-		}
-	}
-}
-
-// isQuiet reports whether every local component has fully drained. Undelivered
-// cross-shard traffic is tracked by the master network's in-flight count, so
-// the coordinator's quiescence check is quiet-everywhere && nothing in flight.
-func (sh *parShard) isQuiet() bool {
-	for _, c := range sh.cores {
-		if !c.Finished() {
-			return false
-		}
-	}
-	for _, l := range sh.l1s {
-		if !l.Idle() {
-			return false
-		}
-	}
-	for _, d := range sh.dirs {
-		if !d.Idle() {
-			return false
-		}
-	}
-	return true
+	sh.quiet = sh.quiescent(false)
 }

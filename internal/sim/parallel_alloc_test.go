@@ -33,6 +33,32 @@ func allocThreads(n int) []cpu.ThreadFunc {
 	return ths
 }
 
+// TestSkipLoopDoesNotAllocate checks the sequential engines' run loop
+// (advance: due-only stepping, cached wake-ups, skip-ahead and the
+// quiescence check) is allocation-free in steady state, on the same mesh
+// machine and workload as the parallel check below. `make allocsmoke` runs it.
+func TestSkipLoopDoesNotAllocate(t *testing.T) {
+	cfg := DefaultConfig(coherence.FSLite)
+	cfg.Params = cfg.Params.ScaleToCores(16)
+	cfg.Params.Topology = network.TopoMesh
+	s := New(cfg, Workload{Name: "skip-alloc", Threads: allocThreads(16)})
+	t.Cleanup(s.Stop)
+	if s.seq == nil {
+		t.Fatal("sequential stepper not constructed")
+	}
+	window := func() {
+		if _, err := s.advance("skip-alloc", 1<<40, 256, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		window() // warm-up: privatization episodes establish, pools fill
+	}
+	if n := testing.AllocsPerRun(500, window); n > 0 {
+		t.Fatalf("steady-state skip loop allocated %.2f allocs/op", n)
+	}
+}
+
 // TestParallelEpochDoesNotAllocate drives the parallel engine's epoch
 // machinery inline (no worker goroutines, so the measurement sees every
 // allocation) and checks the steady-state loop — per-shard event-driven

@@ -11,17 +11,17 @@ import (
 	"fscoherence/internal/stats"
 )
 
-// sampledTimingIDs are the timing-domain counters that only accrue while the
-// detailed engine runs; the sampled loop estimates their whole-run values by
-// ratio extrapolation. Cycles are handled separately (the clock is not a
-// counter slot during the run). Every other counter accrues functionally in
-// warming windows too and stays exact.
 // warmQuantum caps the operations one core commits per warming round. Large
 // enough to amortize the per-quantum coroutine switch to noise, small enough
 // that spin-wait loops (locks, barriers) hand off within a round and windows
 // land near their spec.
 const warmQuantum = 256
 
+// sampledTimingIDs are the timing-domain counters that only accrue while the
+// detailed engine runs; the sampled loop estimates their whole-run values by
+// ratio extrapolation. Cycles are handled separately (the clock is not a
+// counter slot during the run). Every other counter accrues functionally in
+// warming windows too and stays exact.
 var sampledTimingIDs = []stats.ID{
 	stats.IDStallCycles,
 	stats.IDNetMessages,
@@ -49,24 +49,25 @@ type SampledRun struct {
 // machine).
 func (s *System) SetBoundaryHook(fn func(cycle uint64)) { s.boundaryHook = fn }
 
-// sampleable reports whether the system can run under Config.Sample, with
-// the reason when it cannot. The sampled loop supports exactly the configuration
-// the warmer models: sequential skip engine, in-order cores, two-level
-// inclusive hierarchy, no observers or oracles (warming commits bypass them).
-func (s *System) sampleable() error {
+// sampleable reports whether the system has the shape the functional warmer
+// and drained window boundaries need, with the reason when it does not; what
+// names the feature asking ("sampling", "checkpointing"). That shape is the
+// sequential skip engine, in-order cores and a two-level inclusive hierarchy,
+// with no commit observers or load oracle (warming commits bypass them).
+func (s *System) sampleable(what string) error {
 	switch {
 	case s.par != nil:
-		return fmt.Errorf("sim: sampling requires a sequential engine")
+		return fmt.Errorf("sim: %s requires a sequential engine", what)
 	case s.cfg.Engine == EngineNaive:
-		return fmt.Errorf("sim: sampling requires the skip engine")
+		return fmt.Errorf("sim: %s requires the skip engine", what)
 	case s.cfg.OOO:
-		return fmt.Errorf("sim: sampling requires in-order cores")
+		return fmt.Errorf("sim: %s requires in-order cores", what)
 	case s.cfg.Params.L2Entries > 0:
-		return fmt.Errorf("sim: sampling requires a two-level hierarchy (no private L2)")
+		return fmt.Errorf("sim: %s requires a two-level hierarchy (no private L2)", what)
 	case s.cfg.Params.NonInclusiveLLC:
-		return fmt.Errorf("sim: sampling requires an inclusive LLC")
+		return fmt.Errorf("sim: %s requires an inclusive LLC", what)
 	case s.oracle != nil || s.observerInstalled:
-		return fmt.Errorf("sim: sampling is incompatible with commit observers and the load oracle")
+		return fmt.Errorf("sim: %s is incompatible with commit observers and the load oracle", what)
 	}
 	return nil
 }
@@ -78,7 +79,7 @@ func (s *System) sampleable() error {
 // accesses retired), so warming always starts from — and detailed execution
 // always resumes into — a quiescent architectural state.
 func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
-	if err := s.sampleable(); err != nil {
+	if err := s.sampleable("sampling"); err != nil {
 		return nil, err
 	}
 	if s.cfg.CheckpointSink != nil || s.resumedSample != nil {
@@ -122,42 +123,12 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 		for i, id := range sampledTimingIDs {
 			snap[i] = st.GetID(id)
 		}
-		finished := false
-		for st.GetID(stats.IDL1DAccesses)-winAcc < spec.Detailed {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if s.done() {
-				finished = true
-				break
-			}
-			s.skipAhead(maxCycles)
+		if _, err := s.advance(name, maxCycles, spec.Detailed, false); err != nil {
+			return nil, err
 		}
-
-		// Drain: hold issue on every core and let in-flight accesses retire.
 		// The drain's cycles and traffic charge to the detailed window.
-		for _, c := range cores {
-			c.HoldIssue(true)
-		}
-		for !s.drained() {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s, draining)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if !s.drained() {
-				s.skipAhead(maxCycles)
-			}
+		if err := s.drain(name, maxCycles); err != nil {
+			return nil, err
 		}
 
 		// Record the window (a zero-access tail window carries no signal).
@@ -170,10 +141,8 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 		if s.boundaryHook != nil {
 			s.boundaryHook(s.cycle)
 		}
-		if finished || s.allFinished() {
-			for _, c := range cores {
-				c.HoldIssue(false)
-			}
+		if s.seq.quiescent(false) {
+			s.release()
 			break
 		}
 
@@ -230,10 +199,8 @@ func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
 			}
 			lastCkpt = st.GetID(stats.IDL1DAccesses)
 		}
-		for _, c := range cores {
-			c.HoldIssue(false)
-		}
-		if s.allFinished() {
+		s.release()
+		if s.seq.quiescent(false) {
 			break
 		}
 	}
@@ -312,39 +279,4 @@ func (w *warmSink) ApplyOp(op *cpu.Op) uint64 {
 		panic("sim: unknown op kind in warming")
 	}
 	return w.warmer.Access(w.core, kind, op.Addr, op.Size, store, rmw)
-}
-
-// drained reports whether the machine is architecturally quiescent under held
-// issue: no outstanding core accesses, no in-flight messages, no busy
-// controllers.
-func (s *System) drained() bool {
-	for _, c := range s.cores {
-		if io, ok := c.(*cpu.InOrder); ok && io.Outstanding() {
-			return false
-		}
-	}
-	if s.net.Pending() != 0 {
-		return false
-	}
-	for _, l := range s.l1s {
-		if !l.Idle() {
-			return false
-		}
-	}
-	for _, d := range s.dirs {
-		if !d.Idle() {
-			return false
-		}
-	}
-	return true
-}
-
-// allFinished reports whether every thread has run to completion.
-func (s *System) allFinished() bool {
-	for _, c := range s.cores {
-		if !c.Finished() {
-			return false
-		}
-	}
-	return true
 }

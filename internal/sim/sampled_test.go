@@ -145,7 +145,7 @@ func TestSampledBoundaryQuiescence(t *testing.T) {
 	boundaries := 0
 	s.SetBoundaryHook(func(cycle uint64) {
 		boundaries++
-		if !s.drained() {
+		if !s.seq.quiescent(true) {
 			t.Fatalf("boundary at cycle %d: machine not quiescent", cycle)
 		}
 		for i := 0; i < cfg.Params.Cores; i++ {

@@ -19,28 +19,29 @@ import (
 	"fscoherence/internal/stats"
 )
 
-// Engine selects the simulation loop strategy. Both engines are cycle-exact:
-// they produce byte-identical results (cycle counts, counter snapshots,
-// traces, detections) for the same configuration and workload.
+// Engine selects the stepping policy. Every engine runs the same due-only
+// stepper (step.go) and is cycle-exact: they produce byte-identical results
+// (cycle counts, counter snapshots, traces, detections) for the same
+// configuration and workload.
 type Engine int
 
 const (
-	// EngineSkip, the default, is the quiescence-skipping engine: when a tick
-	// round leaves nothing to do until some future cycle, the loop fast-
-	// forwards to that cycle instead of ticking idle rounds. Components report
-	// their earliest wake-up (NextEvent / NextArrival) and compensate skipped
+	// EngineSkip, the default, ticks only the components that are due and
+	// fast-forwards over cycles in which none is. Components report their
+	// earliest wake-up (NextEvent / NextArrival) and compensate skipped
 	// per-cycle bookkeeping via SkipIdle, so the skip is invisible.
 	EngineSkip Engine = iota
 
-	// EngineNaive ticks every component on every cycle — the reference loop
-	// the skipping engine is proven against (see TestEngineEquivalence).
+	// EngineNaive makes every component due every cycle and never skips —
+	// the reference policy the others are proven against (see
+	// TestEngineEquivalence). A registered cycle hook forces it.
 	EngineNaive
 
 	// EngineParallel is the conservative parallel discrete-event engine: it
 	// shards cores+L1s (and directory slices) across OS threads, each shard
-	// running its own quiescence-skipping loop over fixed lookahead epochs
-	// bounded by the network's minimum delivery latency, with all network
-	// traffic replayed in global order at epoch barriers (see parallel.go).
+	// stepped under the skip policy over fixed lookahead epochs bounded by
+	// the network's minimum delivery latency, with all network traffic
+	// replayed in global order at epoch barriers (see parallel.go).
 	// Byte-identical to the sequential engines; configurations it cannot
 	// parallelize (fault injection, observability, verification oracles)
 	// fall back to EngineSkip at construction.
@@ -222,6 +223,10 @@ type System struct {
 	// stopReason, when non-empty, aborts the run loop (RequestStop).
 	stopReason string
 
+	// seq is the whole machine as one shard: the stepper of the sequential
+	// engines (nil under EngineParallel).
+	seq *shard
+
 	// par, when non-nil, holds the conservative parallel engine's shard
 	// structure (EngineParallel; see parallel.go).
 	par *parRunner
@@ -248,8 +253,15 @@ func (s *System) ensureObserver() {
 }
 
 // SetCycleHook installs a function invoked at the start of every cycle
-// (testing: fault injection, external-socket accesses, live inspection).
-func (s *System) SetCycleHook(fn func(cycle uint64)) { s.cycleHook = fn }
+// (testing: fault injection, external-socket accesses, live inspection). A
+// hook forces the naive policy — every component ticks every cycle and none
+// is skipped — so it may change any component's state.
+func (s *System) SetCycleHook(fn func(cycle uint64)) {
+	s.cycleHook = fn
+	if s.seq != nil {
+		s.seq.wakeAll() // the naive policy keeps no wake-up caches
+	}
+}
 
 // observer adapts the oracle and the commit trace to the coherence.Observer
 // interface. The oracle may be nil (trace-only observer).
@@ -323,33 +335,23 @@ func New(cfg Config, wl Workload) *System {
 
 	// The parallel engine gives every shard its own deferred-mode network
 	// front, stats set, clock and memory partition; configurations it cannot
-	// handle construct sequentially and run under EngineSkip instead.
+	// handle construct sequentially and run under EngineSkip instead. The
+	// sequential engines run one shard over the master network, stats set,
+	// clock and memory.
+	var shards []*shard
 	if k := parallelShards(cfg); k > 0 {
 		s.par = newParRunner(s, k)
-	} else if cfg.Engine == EngineParallel {
-		s.cfg.Engine = EngineSkip
-	}
-	// netFor/statsFor/nowFor/memFor route each component's wiring to its
-	// owning shard (identity wiring under the sequential engines).
-	netFor := func(shard int) *network.Network { return s.net }
-	statsFor := func(shard int) *stats.Set { return st }
-	nowFor := func(shard int) func() uint64 {
-		return func() uint64 { return s.cycle }
-	}
-	memFor := func(shard int) *memsys.Memory { return s.mem }
-	shardOfCore := func(i int) int { return 0 }
-	shardOfSlice := func(j int) int { return 0 }
-	if s.par != nil {
-		netFor = func(shard int) *network.Network { return s.par.shards[shard].net }
-		statsFor = func(shard int) *stats.Set { return s.par.shards[shard].stats }
-		nowFor = func(shard int) func() uint64 {
-			sh := s.par.shards[shard]
-			return func() uint64 { return sh.clock }
+		for _, sh := range s.par.shards {
+			shards = append(shards, &sh.shard)
 		}
-		memFor = func(shard int) *memsys.Memory { return s.par.shards[shard].mem }
-		shardOfCore = func(i int) int { return i * len(s.par.shards) / p.Cores }
-		shardOfSlice = func(j int) int { return j * len(s.par.shards) / p.Slices }
+	} else {
+		if cfg.Engine == EngineParallel {
+			s.cfg.Engine = EngineSkip
+		}
+		s.seq = &shard{clock: &s.cycle, net: s.net, stats: st, mem: s.mem}
+		shards = []*shard{s.seq}
 	}
+	coreShard := func(i int) *shard { return shards[i*len(shards)/p.Cores] }
 
 	cfg.Forensics.Begin(p.BlockSize, p.Cores)
 
@@ -357,21 +359,20 @@ func New(cfg Config, wl Workload) *System {
 	cc.Cores = p.Cores
 	cc.BlockSize = p.BlockSize
 	cc.Mode = cfg.Mode
-	cc.Now = nowFor(0)
 	cc.Trace = s.tracer
 	cc.Forensics = cfg.Forensics
 
 	for i := 0; i < p.Cores; i++ {
-		k := shardOfCore(i)
+		sh := coreShard(i)
 		var pol coherence.L1Policy
 		if cfg.Mode != coherence.Baseline {
 			ccl := cc
-			ccl.Now = nowFor(k)
-			pam := core.NewPAM(ccl, i, statsFor(k))
+			ccl.Now = sh.now
+			pam := core.NewPAM(ccl, i, sh.stats)
 			s.pams = append(s.pams, pam)
 			pol = pam
 		}
-		l1 := coherence.NewL1(i, p, cfg.Mode, netFor(k), pol, statsFor(k), nil)
+		l1 := coherence.NewL1(i, p, cfg.Mode, sh.net, pol, sh.stats, nil)
 		if cfg.MSHRs > 1 {
 			l1.SetMaxMSHRs(cfg.MSHRs)
 		}
@@ -383,25 +384,25 @@ func New(cfg Config, wl Workload) *System {
 		s.ensureObserver()
 	}
 	for i := 0; i < p.Slices; i++ {
-		k := shardOfSlice(i)
+		sh := shards[i*len(shards)/p.Slices]
 		var pol coherence.DirPolicy
 		if cfg.Mode != coherence.Baseline {
 			ccd := cc
-			ccd.Now = nowFor(k)
-			ds := core.NewDirSide(ccd, i, statsFor(k))
+			ccd.Now = sh.now
+			ds := core.NewDirSide(ccd, i, sh.stats)
 			for _, r := range wl.ReductionRegions {
 				ds.RegisterReduction(r)
 			}
 			s.dirPolicies = append(s.dirPolicies, ds)
 			pol = ds
 		}
-		dir := coherence.NewDir(i, p, cfg.Mode, netFor(k), memFor(k), pol, statsFor(k))
+		dir := coherence.NewDir(i, p, cfg.Mode, sh.net, sh.mem, pol, sh.stats)
 		dir.SetObs(cfg.Obs)
 		dir.SetForensics(cfg.Forensics)
 		s.dirs = append(s.dirs, dir)
 	}
 	for i := 0; i < p.Cores; i++ {
-		k := shardOfCore(i)
+		sh := coreShard(i)
 		var fn cpu.ThreadFunc
 		if i < len(wl.Threads) {
 			fn = wl.Threads[i]
@@ -410,14 +411,12 @@ func New(cfg Config, wl Workload) *System {
 			fn = func(*cpu.Ctx) {}
 		}
 		if cfg.OOO {
-			s.cores = append(s.cores, cpu.NewOOO(i, s.l1s[i], fn, cfg.OOOWidth, cfg.ROBSize, statsFor(k)))
+			s.cores = append(s.cores, cpu.NewOOO(i, s.l1s[i], fn, cfg.OOOWidth, cfg.ROBSize, sh.stats))
 		} else {
-			s.cores = append(s.cores, cpu.NewInOrder(i, s.l1s[i], fn, statsFor(k)))
+			s.cores = append(s.cores, cpu.NewInOrder(i, s.l1s[i], fn, sh.stats))
 		}
 	}
-	if s.par != nil {
-		s.par.bind()
-	}
+	s.bindShards(shards)
 	// Checkpointing needs the result log armed from the very first committed
 	// operation so threads can be replayed at any later snapshot (and so a
 	// restored thread's re-seeded log keeps growing). Arming is free on the
@@ -535,24 +534,8 @@ func (s *System) Run(name string) (*Result, error) {
 		}
 		s.cycle = cycle
 		s.par.mergeStats()
-	} else {
-		for {
-			s.cycle++
-			if s.cycle > maxCycles {
-				return nil, fmt.Errorf("%w at cycle %d (%s)", ErrDeadlock, s.cycle, name)
-			}
-			s.stepCycle()
-			s.pollCancel()
-			if s.stopReason != "" {
-				return nil, fmt.Errorf("%w: %s at cycle %d (%s)", ErrStopped, s.stopReason, s.cycle, name)
-			}
-			if s.done() {
-				break
-			}
-			if s.cfg.Engine == EngineSkip {
-				s.skipAhead(maxCycles)
-			}
-		}
+	} else if _, err := s.advance(name, maxCycles, noBudget, false); err != nil {
+		return nil, err
 	}
 	return s.buildResult(name), nil
 }
@@ -585,112 +568,6 @@ func (s *System) buildResult(name string) *Result {
 	}
 	res.SWMRViolations = s.swmrBad
 	return res
-}
-
-// stepCycle runs one full simulation cycle: the per-cycle hook, every
-// component's Tick in deterministic order, then the cycle-boundary work
-// (SWMR scan, metrics sample).
-func (s *System) stepCycle() {
-	s.net.SetCycle(s.cycle)
-	if s.cycleHook != nil {
-		s.cycleHook(s.cycle)
-	}
-	for _, d := range s.dirs {
-		d.Tick(s.cycle)
-	}
-	for _, l := range s.l1s {
-		l.Tick(s.cycle)
-	}
-	for _, c := range s.cores {
-		c.Tick(s.cycle)
-	}
-	if s.cfg.CheckSWMR && s.cycle%s.cfg.SWMRPeriod == 0 {
-		s.checkSWMR()
-	}
-	if m := s.metrics; m != nil && s.cycle%m.Interval == 0 {
-		m.Sample(s.cycle, s.stats.Snapshot())
-	}
-}
-
-// skipAhead fast-forwards s.cycle over cycles in which no component can make
-// progress. It advances to one cycle before the earliest reported wake-up —
-// clamped so that SWMR-check and metrics-sampling boundary cycles are still
-// stepped (their output embeds cycle numbers, and byte-identical output across
-// engines is the contract) and so the MaxCycles deadlock error fires at the
-// same cycle as under the naive loop. Cores compensate per-cycle stall
-// counters for the skipped span via SkipIdle. A registered cycle hook
-// disables skipping entirely: the hook must observe every cycle.
-func (s *System) skipAhead(maxCycles uint64) {
-	if s.cycleHook != nil {
-		return
-	}
-	now := s.cycle
-	wake := s.net.NextArrival()
-	for _, d := range s.dirs {
-		if w := d.NextEvent(now); w < wake {
-			wake = w
-		}
-	}
-	for _, l := range s.l1s {
-		if w := l.NextEvent(now); w < wake {
-			wake = w
-		}
-	}
-	for _, c := range s.cores {
-		if w := c.NextEvent(now); w < wake {
-			wake = w
-		}
-	}
-	if wake <= now+1 {
-		return // the very next cycle has (potential) work
-	}
-	// done() just returned false, so an all-NoEvent round means deadlock:
-	// aim at maxCycles and let the loop trip the identical ErrDeadlock.
-	target := maxCycles
-	if wake != coherence.NoEvent && wake-1 < target {
-		target = wake - 1 // last fully idle cycle before the wake-up
-	}
-	if s.cfg.CheckSWMR {
-		if b := now - now%s.cfg.SWMRPeriod + s.cfg.SWMRPeriod; b-1 < target {
-			target = b - 1
-		}
-	}
-	if m := s.metrics; m != nil {
-		if b := now - now%m.Interval + m.Interval; b-1 < target {
-			target = b - 1
-		}
-	}
-	if target <= now {
-		return
-	}
-	delta := target - now
-	for _, c := range s.cores {
-		c.SkipIdle(delta)
-	}
-	s.cycle = target
-}
-
-// done reports whether every thread finished and the system quiesced.
-func (s *System) done() bool {
-	for _, c := range s.cores {
-		if !c.Finished() {
-			return false
-		}
-	}
-	if s.net.Pending() != 0 {
-		return false
-	}
-	for _, l := range s.l1s {
-		if !l.Idle() {
-			return false
-		}
-	}
-	for _, d := range s.dirs {
-		if !d.Idle() {
-			return false
-		}
-	}
-	return true
 }
 
 // checkSWMR validates the single-writer/multiple-reader invariant across all
