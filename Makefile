@@ -27,11 +27,11 @@
 #                  runs, and must be byte-identical across -j worker counts.
 #   make ckptcheck — the crash-resilience gate: kill a run mid-window, resume
 #                  from its checkpoint and demand byte-identical final
-#                  counters across {skip, parallel} x {flat, mesh}; corrupt /
+#                  counters across {skip, naive} x {flat, mesh}; corrupt /
 #                  version-skewed / wrong-identity checkpoints must degrade to
 #                  cold runs; campaign journals must resume; plus a real
 #                  SIGKILL-mid-run smoke test under -race.
-#   make sweep   — regenerate the paper's tables with the parallel engine.
+#   make sweep   — regenerate the paper's tables (cells fan out over -j workers).
 #   make fuzzsmoke — CI-sized protocol fuzzing: a fixed 60-seed corpus across
 #                  the three protocols under fault injection, plus the oracle
 #                  selfcheck (seeded bugs must be caught and shrunk). ~30s.
@@ -78,22 +78,21 @@ race:
 	$(GO) test -race ./...
 
 # Cross-engine determinism: every workload x protocol under the naive and
-# skip policies of the one stepper, the parallel engine on the big-machine
-# matrix, the machine shapes and attachments of
-# TestEngineEquivalenceAttachments (OOO, L2, non-inclusive LLC, forensics,
-# metrics, fault plans), golden-trace and figure-table byte-equality, and the
-# spec-table dispatch reproducing its pinned results across
-# {naive,skip,parallel} x {flat,mesh} (engine_test.go, internal/sim).
+# skip policies of the one stepper, the big-machine matrix, the machine
+# shapes and attachments of TestEngineEquivalenceAttachments (OOO, L2,
+# non-inclusive LLC, forensics, metrics, fault plans), golden-trace and
+# figure-table byte-equality, and the spec-table dispatch reproducing its
+# pinned results across {naive,skip} x {flat,mesh} (engine_test.go,
+# internal/sim).
 equiv:
 	$(GO) test -run 'TestEngine' -count=1 . ./internal/sim/
 
-# The steady-state network round trip and replay, the sequential run loop,
-# the parallel engine's epoch loop, functional warming and the disabled
-# forensics recorder must not allocate; the benchmark's allocs/op plus the
-# six tests gate it.
+# The steady-state network round trip, the run loop, functional warming and
+# the disabled forensics recorder must not allocate; the benchmark's
+# allocs/op plus the four tests gate it.
 allocsmoke:
-	$(GO) test -run 'TestSendRecvDoesNotAllocate|TestReplayDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
-	$(GO) test -run 'TestSkipLoopDoesNotAllocate|TestParallelEpochDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/
+	$(GO) test -run 'TestSendRecvDoesNotAllocate' -bench 'BenchmarkNetSendRecv' -benchmem -benchtime=1x -count=1 ./internal/network/
+	$(GO) test -run 'TestSkipLoopDoesNotAllocate|TestWarmingAccessDoesNotAllocate' -count=1 ./internal/sim/
 	$(GO) test -run 'TestForensicsDisabledDoesNotAllocate' -count=1 ./internal/forensics/
 
 # Sampled-vs-full tolerance gate plus cross-worker determinism of the sampled

@@ -191,15 +191,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // benchBigMachine runs the Fig 14a-shaped big-machine cell — uGRID on a
 // mesh-NoC machine of the given core count, Baseline vs FSLite in the
-// default (falsely shared) layout — under one simulation engine, reporting
-// FSLite's speedup. The ns/op ratio between the SkipEngine and
-// ParallelEngine variants at the same core count is the conservative
-// parallel engine's wall-clock gain; results are byte-identical
-// (TestEngineEquivalenceBigMachine), so the ratio is pure engine overhead.
-// `make bench` records all four variants in BENCH_4.json.
-func benchBigMachine(b *testing.B, cores int, engine string) {
+// default (falsely shared) layout — under the skip engine, reporting FSLite's
+// speedup.
+func benchBigMachine(b *testing.B, cores int) {
 	for i := 0; i < b.N; i++ {
-		opt := Options{Protocol: Baseline, Scale: 1, Cores: cores, Topology: "mesh", Engine: engine}
+		opt := Options{Protocol: Baseline, Scale: 1, Cores: cores, Topology: "mesh", Engine: "skip"}
 		base, err := Run("uGRID", opt)
 		if err != nil {
 			b.Fatal(err)
@@ -213,10 +209,8 @@ func benchBigMachine(b *testing.B, cores int, engine string) {
 	}
 }
 
-func BenchmarkBigMachineMesh8SkipEngine(b *testing.B)      { benchBigMachine(b, 8, "skip") }
-func BenchmarkBigMachineMesh8ParallelEngine(b *testing.B)  { benchBigMachine(b, 8, "parallel") }
-func BenchmarkBigMachineMesh64SkipEngine(b *testing.B)     { benchBigMachine(b, 64, "skip") }
-func BenchmarkBigMachineMesh64ParallelEngine(b *testing.B) { benchBigMachine(b, 64, "parallel") }
+func BenchmarkBigMachineMesh8SkipEngine(b *testing.B)  { benchBigMachine(b, 8) }
+func BenchmarkBigMachineMesh64SkipEngine(b *testing.B) { benchBigMachine(b, 64) }
 
 // BenchmarkSampledBillionAccessMesh64 is the interval-sampling headline cell:
 // one billion committed accesses of the falsely-sharing uGRID microbenchmark

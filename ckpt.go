@@ -85,8 +85,8 @@ func CheckpointCompatible(opt Options) bool {
 }
 
 // validateCheckpointable rejects options whose state cannot be fully
-// serialized. The engine is not checked here: naive/parallel are
-// byte-identical to skip and fall back with a warning instead.
+// serialized. The engine is not checked here: naive is byte-identical to
+// skip and falls back with a warning instead.
 func validateCheckpointable(opt Options) error {
 	switch {
 	case opt.OOO:
@@ -109,7 +109,7 @@ func validateCheckpointable(opt Options) error {
 // benchmark, the normalized options, the checkpoint cadence (cadence defines
 // the execution) and the envelope format version. Everything that changes
 // the machine's byte-exact trajectory is in here; everything that does not
-// (engine choice, shard count) is normalized out.
+// (engine choice) is normalized out.
 type ckptIdentity struct {
 	Bench   string
 	Opt     Options
@@ -121,7 +121,6 @@ type ckptIdentity struct {
 // from) every checkpoint envelope for this run.
 func checkpointIdentity(bench string, opt Options, every uint64) uint64 {
 	opt.Engine = "skip" // all engines are byte-identical; checkpointed runs use skip
-	opt.Shards = 0
 	if opt.Topology == "flat" {
 		opt.Topology = "" // one identity for the two spellings of the default
 	}
@@ -189,7 +188,7 @@ func RunControlled(bench string, opt Options, ctl RunControl) (*Result, error) {
 		switch opt.Engine {
 		case "", "skip":
 		default:
-			// naive and parallel are byte-identical to skip, so falling back
+			// naive is byte-identical to skip, so falling back
 			// preserves every result while making the state serializable.
 			warnings = append(warnings,
 				fmt.Sprintf("checkpointing runs under the skip engine (requested %q is byte-identical; falling back)", opt.Engine))

@@ -85,11 +85,11 @@ func requireByteIdentical(t *testing.T, ref, got *Result) {
 }
 
 // TestCheckpointResumeByteIdentical is the ckptcheck matrix: kill mid-window
-// and resume across {skip, parallel} × {flat, mesh}. The parallel engine
-// falls back to skip under checkpointing (byte-identical by the engine
-// equivalence contract), so the fallback path is part of the matrix.
+// and resume across {skip, naive} × {flat, mesh}. The naive engine falls
+// back to skip under checkpointing (byte-identical by the engine equivalence
+// contract), so the fallback path is part of the matrix.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
-	for _, engine := range []string{"skip", "parallel"} {
+	for _, engine := range []string{"skip", "naive"} {
 		for _, topo := range []string{"flat", "mesh"} {
 			t.Run(engine+"/"+topo, func(t *testing.T) {
 				t.Parallel()
@@ -98,8 +98,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("uninterrupted run failed: %v", err)
 				}
-				if engine == "parallel" && len(ref.Warnings) == 0 {
-					t.Errorf("parallel engine should warn about the skip fallback")
+				if engine == "naive" && len(ref.Warnings) == 0 {
+					t.Errorf("naive engine should warn about the skip fallback")
 				}
 				got := runInterruptedThenResumed(t, "RC", opt, 2)
 				requireByteIdentical(t, ref, got)
@@ -308,7 +308,7 @@ func TestCadenceIsPartOfIdentity(t *testing.T) {
 		t.Errorf("identity is not deterministic")
 	}
 	eng := opt
-	eng.Engine = "parallel"
+	eng.Engine = "naive"
 	if checkpointIdentity("RC", eng, 10_000) != a {
 		t.Errorf("identity should normalize the engine out (engines are byte-identical)")
 	}

@@ -49,10 +49,9 @@ import (
 func main() {
 	var (
 		all      = flag.Bool("all", false, "run every experiment")
-		engine   = flag.String("engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference) | parallel (conservative parallel)")
+		engine   = flag.String("engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference)")
 		cores    = flag.Int("cores", 0, "scale the machine to this many cores (0 = Table II 8-core default; up to 256)")
 		topology = flag.String("topology", "", "interconnect: flat (default) | ring | mesh")
-		shards   = flag.Int("shards", 0, "parallel engine worker count (0 = one per 8 cores)")
 		exp      = flag.String("exp", "", "run a single experiment by ID (fig2, fig13, ...)")
 		scale    = flag.Float64("scale", 1.0, "workload size multiplier")
 		jobs     = flag.Int("j", runtime.NumCPU(), "max concurrent simulations (1 = serial)")
@@ -80,8 +79,8 @@ func main() {
 	)
 	prof := profiling.AddFlags()
 	flag.Parse()
-	if *engine != "skip" && *engine != "naive" && *engine != "parallel" {
-		fmt.Fprintf(os.Stderr, "fsexp: unknown -engine %q (want skip, naive or parallel)\n", *engine)
+	if *engine != "skip" && *engine != "naive" {
+		fmt.Fprintf(os.Stderr, "fsexp: unknown -engine %q (want skip or naive)\n", *engine)
 		os.Exit(1)
 	}
 	if *sampled != "" {
@@ -131,7 +130,7 @@ func main() {
 	// (e.g. every Baseline reference run) are simulated exactly once.
 	eng := fscoherence.NewRunner(*jobs)
 	eng.SetEngine(*engine)
-	eng.SetMachine(*cores, *topology, *shards)
+	eng.SetMachine(*cores, *topology)
 	eng.SetSample(*sampled)
 	if *timeout > 0 || *retries > 0 || *backoff > 0 {
 		eng.SetSupervision(*timeout, *retries, *backoff)

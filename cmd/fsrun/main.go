@@ -58,10 +58,9 @@ func main() {
 		filter   = flag.String("trace-filter", "", "restrict traced events: addr=0x...,core=N,class=net|l1|dir|detect|prv|commit|oracle")
 		counters = flag.Bool("counters", false, "after the run, dump every canonical counter (zeros included) in sorted order")
 		ctrTable = flag.Bool("counter-table", false, "print the canonical counter-name documentation table and exit")
-		engine   = flag.String("engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference) | parallel (conservative parallel)")
+		engine   = flag.String("engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference)")
 		cores    = flag.Int("cores", 0, "scale the machine to this many cores (0 = Table II 8-core default; up to 256)")
 		topology = flag.String("topology", "", "interconnect: flat (default) | ring | mesh")
-		shards   = flag.Int("shards", 0, "parallel engine worker count (0 = one per 8 cores)")
 		sampled  = flag.String("sample", "", "interval sampling spec detailed:warming in committed accesses (e.g. 50k:950k); timing metrics become estimates with 95% CIs")
 		ckpt     = flag.String("checkpoint", "", "write periodic checkpoints to this file (atomic; each boundary's write replaces the last)")
 		ckptN    = flag.String("checkpoint-every", "", "checkpoint cadence in committed L1D accesses (e.g. 1m, 500k; default 1m when checkpointing)")
@@ -72,8 +71,8 @@ func main() {
 	if *mode != "" {
 		*protocol = *mode
 	}
-	if *engine != "skip" && *engine != "naive" && *engine != "parallel" {
-		fatal(fmt.Errorf("unknown -engine %q (want skip, naive or parallel)", *engine))
+	if *engine != "skip" && *engine != "naive" {
+		fatal(fmt.Errorf("unknown -engine %q (want skip or naive)", *engine))
 	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
@@ -137,7 +136,7 @@ func main() {
 		}
 		eng := fscoherence.NewRunner(*jobs)
 		eng.SetEngine(*engine)
-		eng.SetMachine(*cores, *topology, *shards)
+		eng.SetMachine(*cores, *topology)
 		eng.SetSample(*sampled)
 		baseF := eng.Submit(*bench, fscoherence.Options{Protocol: fscoherence.Baseline, Variant: v, Scale: *scale, Verify: *verify, Obs: obsFor(fscoherence.Baseline)})
 		detF := eng.Submit(*bench, fscoherence.Options{Protocol: fscoherence.FSDetect, Variant: v, Scale: *scale, Verify: *verify, Obs: obsFor(fscoherence.FSDetect)})
@@ -160,7 +159,7 @@ func main() {
 	}
 
 	r := run(*bench, fscoherence.Options{Protocol: p, Variant: v, Scale: *scale, Verify: *verify, Engine: *engine,
-		Cores: *cores, Topology: *topology, Shards: *shards, Obs: o, Sample: *sampled}, ctl)
+		Cores: *cores, Topology: *topology, Obs: o, Sample: *sampled}, ctl)
 	writeObs(o, *traceOut, *metrics)
 	fmt.Printf("benchmark %s under %v (%s layout)\n", *bench, p, v)
 	if s := r.Sampled; s != nil {

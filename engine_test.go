@@ -63,11 +63,11 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceBigMachine is the big-machine acceptance matrix:
-// {naive, skip, parallel} × {flat, ring, mesh} × {8, 64, 256} cores on the
-// scalable uGRID workload under FSLite. Every cell must produce identical
-// cycle counts, byte-identical counter snapshots and identical detection
-// lists — the parallel engine's deferred-send replay and the NoC models'
-// deterministic link contention are both on trial here. (`make equiv` picks
+// {naive, skip} × {flat, ring, mesh} × {8, 64, 256} cores on the scalable
+// uGRID workload under FSLite. Every cell must produce identical cycle
+// counts, byte-identical counter snapshots and identical detection lists —
+// the due-only stepper and the NoC models' deterministic link contention are
+// both on trial here. (`make equiv` picks
 // this up via the TestEngine prefix.)
 func TestEngineEquivalenceBigMachine(t *testing.T) {
 	const scale = 0.1
@@ -77,7 +77,7 @@ func TestEngineEquivalenceBigMachine(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-%dc", topo, cores), func(t *testing.T) {
 				t.Parallel()
 				var ref *Result
-				for _, engine := range []string{"naive", "skip", "parallel"} {
+				for _, engine := range []string{"naive", "skip"} {
 					got, err := Run("uGRID", Options{
 						Protocol: FSLite, Scale: scale, Engine: engine,
 						Cores: cores, Topology: topo,
@@ -111,51 +111,6 @@ func TestEngineEquivalenceBigMachine(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestEngineParallelShardInvariance pins determinism in the shard dimension:
-// the shard count is a pure execution-resource knob, so any worker count must
-// reproduce the sequential run bit-for-bit.
-func TestEngineParallelShardInvariance(t *testing.T) {
-	ref, err := Run("uGRID", Options{Protocol: FSLite, Scale: 0.1, Cores: 64, Topology: "mesh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 3, 5, 8, 16} {
-		got, err := Run("uGRID", Options{
-			Protocol: FSLite, Scale: 0.1, Cores: 64, Topology: "mesh",
-			Engine: "parallel", Shards: shards,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got.Cycles != ref.Cycles {
-			t.Errorf("shards=%d: cycles diverge: skip=%d parallel=%d", shards, ref.Cycles, got.Cycles)
-		}
-		if !reflect.DeepEqual(got.Stats.Snapshot(), ref.Stats.Snapshot()) {
-			t.Errorf("shards=%d: counter snapshots diverge", shards)
-		}
-	}
-}
-
-// TestEngineParallelFallback verifies the parallel engine declines the
-// order-sensitive configurations (verification oracles, observability) by
-// falling back to the skipping engine rather than producing divergent runs.
-func TestEngineParallelFallback(t *testing.T) {
-	res, err := Run("uWW", Options{Protocol: FSLite, Scale: 0.2, Engine: "parallel", Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("violations under parallel-with-verify fallback: %v", res.Violations)
-	}
-	ref, err := Run("uWW", Options{Protocol: FSLite, Scale: 0.2, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles != ref.Cycles {
-		t.Errorf("fallback diverges from skip: %d vs %d", res.Cycles, ref.Cycles)
 	}
 }
 
@@ -331,7 +286,7 @@ var dispatchPinned = map[string]string{
 // with the interpreter, so any divergence here is a hole in the spec tables
 // or a change in a handler.
 func TestEngineDispatchEquivalence(t *testing.T) {
-	for _, engine := range []string{"naive", "skip", "parallel"} {
+	for _, engine := range []string{"naive", "skip"} {
 		for _, topo := range []string{"flat", "mesh"} {
 			engine, topo := engine, topo
 			t.Run(fmt.Sprintf("%s-%s-%v", engine, topo, FSLite), func(t *testing.T) {

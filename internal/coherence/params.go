@@ -104,19 +104,15 @@ type Params struct {
 
 	// Topology selects the interconnect model: network.TopoFlat (default)
 	// is the paper's fixed-latency fabric; TopoRing and TopoMesh route over
-	// an on-chip network with HopLatency cycles per link traversal and
+	// an on-chip network with DefaultHopLatency cycles per link traversal and
 	// per-link contention. The address-interleaved HomeSlice mapping is
 	// topology-independent.
 	Topology network.TopoKind
-
-	// HopLatency is the per-hop router+link latency for ring/mesh
-	// topologies (0 picks DefaultHopLatency; ignored when flat).
-	HopLatency uint64
 }
 
-// DefaultHopLatency is the per-hop latency used by ring/mesh topologies when
-// Params.HopLatency is zero: a few hops across the fabric cost about as much
-// as the flat fabric's fixed NetLatency.
+// DefaultHopLatency is the per-hop router+link latency of the ring and mesh
+// topologies: a few hops across the fabric cost about as much as the flat
+// fabric's fixed NetLatency.
 const DefaultHopLatency = 4
 
 // DefaultParams returns the Table II configuration with cache capacities
@@ -156,20 +152,11 @@ func (p Params) HomeSlice(blockAddr uint64) int {
 // Nodes returns the total number of network endpoints.
 func (p Params) Nodes() int { return p.Cores + p.Slices }
 
-// HopLatencyOrDefault returns the effective per-hop latency for ring/mesh
-// topologies.
-func (p Params) HopLatencyOrDefault() uint64 {
-	if p.HopLatency != 0 {
-		return p.HopLatency
-	}
-	return DefaultHopLatency
-}
-
 // ApplyTopology installs p's topology on a freshly built network (no-op for
 // the flat fabric, keeping the seed configuration byte-identical).
 func (p Params) ApplyTopology(n *network.Network) {
 	if p.Topology != network.TopoFlat {
-		n.SetTopology(p.Topology, p.HopLatencyOrDefault(), p.Cores)
+		n.SetTopology(p.Topology, DefaultHopLatency, p.Cores)
 	}
 }
 

@@ -76,7 +76,7 @@ func NewInOrder(id int, l1 *coherence.L1, fn ThreadFunc, st *stats.Set) *InOrder
 // finish completes the outstanding access, unblocking the thread.
 func (c *InOrder) finish(v uint64, _ *accessSlot) {
 	c.waiting = false
-	if c.rec != nil && resultBearing(c.slot.op.Kind, c.slot.op.Async) {
+	if c.rec != nil && resultBearing(c.slot.op.Kind) {
 		c.rec.Log = append(c.rec.Log, v)
 	}
 	c.runner.complete(v)

@@ -158,9 +158,9 @@ func (c *OOO) Tick(now uint64) {
 			c.refill(0, false)
 		default:
 			// Synchronous means the thread consumes the result (a true data
-			// dependence): plain loads, atomics, and synchronizing stores.
-			// Async loads/stores and prefetches are fire-and-forget.
-			sync := (op.Kind == OpLoad && !op.Async) || op.Kind == OpAtomic || (op.Kind == OpStore && !op.Async)
+			// dependence): loads, atomics, and synchronizing stores. Async
+			// stores, reductions and prefetches are fire-and-forget.
+			sync := op.Kind == OpLoad || op.Kind == OpAtomic || (op.Kind == OpStore && !op.Async)
 			s := c.getSlot()
 			s.sync = sync
 			acc := s.prepare(op)

@@ -40,9 +40,9 @@ type OpRecorder struct {
 }
 
 // resultBearing reports whether the thread consumes the result of an op:
-// synchronous loads and atomics only.
-func resultBearing(kind OpKind, async bool) bool {
-	return (kind == OpLoad && !async) || kind == OpAtomic
+// loads and atomics only.
+func resultBearing(kind OpKind) bool {
+	return kind == OpLoad || kind == OpAtomic
 }
 
 // recordSink wraps a WarmSink, appending result-bearing values to the
@@ -70,7 +70,7 @@ func (r *recordSink) Compute(n uint64) { r.inner.Compute(n) }
 
 func (r *recordSink) ApplyOp(op *Op) uint64 {
 	v := r.inner.ApplyOp(op)
-	if resultBearing(op.Kind, op.Async) {
+	if resultBearing(op.Kind) {
 		r.rec.Log = append(r.rec.Log, v)
 	}
 	return v
@@ -102,7 +102,7 @@ func (r *replaySink) AtomicAdd(addr memsys.Addr, size int, delta uint64) uint64 
 }
 func (r *replaySink) Compute(n uint64) {}
 func (r *replaySink) ApplyOp(op *Op) uint64 {
-	if resultBearing(op.Kind, op.Async) {
+	if resultBearing(op.Kind) {
 		return r.take()
 	}
 	return 0

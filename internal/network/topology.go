@@ -56,8 +56,7 @@ const (
 
 // topology holds the routing tables and per-link reservation state of a ring
 // or mesh NoC. All state mutates only inside routeLatency, which runs in
-// deterministic global send order (directly in the sequential engines, via
-// barrier replay in the parallel engine), so link contention is reproducible
+// deterministic global send order, so link contention is reproducible
 // bit-for-bit across engines.
 type topology struct {
 	kind TopoKind
@@ -213,19 +212,6 @@ func (n *Network) SetTopology(kind TopoKind, hopLatency uint64, cores int) {
 		return
 	}
 	n.topo = newTopology(kind, hopLatency, n.nodes, cores)
-}
-
-// MinDeliveryLatency returns the smallest possible cycle count between a
-// Send and the message becoming deliverable: the base Latency on the flat
-// fabric, one hop on a ring or mesh. The conservative parallel engine uses
-// this as its lookahead window — a message sent at cycle c can never need
-// delivery before c+MinDeliveryLatency (fault perturbation excluded; the
-// parallel engine refuses fault plans).
-func (n *Network) MinDeliveryLatency() uint64 {
-	if n.topo != nil {
-		return n.topo.hop
-	}
-	return n.Latency
 }
 
 // HopCount returns the link count between two endpoints (1 on the flat

@@ -52,12 +52,10 @@ func (s *System) SetBoundaryHook(fn func(cycle uint64)) { s.boundaryHook = fn }
 // sampleable reports whether the system has the shape the functional warmer
 // and drained window boundaries need, with the reason when it does not; what
 // names the feature asking ("sampling", "checkpointing"). That shape is the
-// sequential skip engine, in-order cores and a two-level inclusive hierarchy,
+// skip engine, in-order cores and a two-level inclusive hierarchy,
 // with no commit observers or load oracle (warming commits bypass them).
 func (s *System) sampleable(what string) error {
 	switch {
-	case s.par != nil:
-		return fmt.Errorf("sim: %s requires a sequential engine", what)
 	case s.cfg.Engine == EngineNaive:
 		return fmt.Errorf("sim: %s requires the skip engine", what)
 	case s.cfg.OOO:

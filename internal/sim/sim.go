@@ -33,19 +33,9 @@ const (
 	EngineSkip Engine = iota
 
 	// EngineNaive makes every component due every cycle and never skips —
-	// the reference policy the others are proven against (see
+	// the reference policy skip is proven against (see
 	// TestEngineEquivalence). A registered cycle hook forces it.
 	EngineNaive
-
-	// EngineParallel is the conservative parallel discrete-event engine: it
-	// shards cores+L1s (and directory slices) across OS threads, each shard
-	// stepped under the skip policy over fixed lookahead epochs bounded by
-	// the network's minimum delivery latency, with all network traffic
-	// replayed in global order at epoch barriers (see parallel.go).
-	// Byte-identical to the sequential engines; configurations it cannot
-	// parallelize (fault injection, observability, verification oracles)
-	// fall back to EngineSkip at construction.
-	EngineParallel
 )
 
 // Config describes one simulation run.
@@ -55,11 +45,6 @@ type Config struct {
 
 	// Engine selects the simulation loop (default EngineSkip).
 	Engine Engine
-
-	// Shards is the worker-thread count for EngineParallel (0 picks a
-	// core-count-based default; ignored by the sequential engines). Results
-	// are byte-identical across all shard counts.
-	Shards int
 
 	// Core holds the FSDetect/FSLite tunables; ignored in Baseline mode.
 	// Cores/BlockSize/Mode are filled in from Params automatically.
@@ -223,13 +208,8 @@ type System struct {
 	// stopReason, when non-empty, aborts the run loop (RequestStop).
 	stopReason string
 
-	// seq is the whole machine as one shard: the stepper of the sequential
-	// engines (nil under EngineParallel).
+	// seq is the whole machine as one shard: the stepper of every engine.
 	seq *shard
-
-	// par, when non-nil, holds the conservative parallel engine's shard
-	// structure (EngineParallel; see parallel.go).
-	par *parRunner
 }
 
 // SetCommitTrace installs a commit hook (testing/debugging). The hook is fed
@@ -258,9 +238,7 @@ func (s *System) ensureObserver() {
 // is skipped — so it may change any component's state.
 func (s *System) SetCycleHook(fn func(cycle uint64)) {
 	s.cycleHook = fn
-	if s.seq != nil {
-		s.seq.wakeAll() // the naive policy keeps no wake-up caches
-	}
+	s.seq.wakeAll() // the naive policy keeps no wake-up caches
 }
 
 // observer adapts the oracle and the commit trace to the coherence.Observer
@@ -333,26 +311,6 @@ func New(cfg Config, wl Workload) *System {
 		s.oracle = memsys.NewOracle(p.BlockSize)
 	}
 
-	// The parallel engine gives every shard its own deferred-mode network
-	// front, stats set, clock and memory partition; configurations it cannot
-	// handle construct sequentially and run under EngineSkip instead. The
-	// sequential engines run one shard over the master network, stats set,
-	// clock and memory.
-	var shards []*shard
-	if k := parallelShards(cfg); k > 0 {
-		s.par = newParRunner(s, k)
-		for _, sh := range s.par.shards {
-			shards = append(shards, &sh.shard)
-		}
-	} else {
-		if cfg.Engine == EngineParallel {
-			s.cfg.Engine = EngineSkip
-		}
-		s.seq = &shard{clock: &s.cycle, net: s.net, stats: st, mem: s.mem}
-		shards = []*shard{s.seq}
-	}
-	coreShard := func(i int) *shard { return shards[i*len(shards)/p.Cores] }
-
 	cfg.Forensics.Begin(p.BlockSize, p.Cores)
 
 	cc := cfg.Core
@@ -363,16 +321,15 @@ func New(cfg Config, wl Workload) *System {
 	cc.Forensics = cfg.Forensics
 
 	for i := 0; i < p.Cores; i++ {
-		sh := coreShard(i)
 		var pol coherence.L1Policy
 		if cfg.Mode != coherence.Baseline {
 			ccl := cc
-			ccl.Now = sh.now
-			pam := core.NewPAM(ccl, i, sh.stats)
+			ccl.Now = s.now
+			pam := core.NewPAM(ccl, i, st)
 			s.pams = append(s.pams, pam)
 			pol = pam
 		}
-		l1 := coherence.NewL1(i, p, cfg.Mode, sh.net, pol, sh.stats, nil)
+		l1 := coherence.NewL1(i, p, cfg.Mode, s.net, pol, st, nil)
 		if cfg.MSHRs > 1 {
 			l1.SetMaxMSHRs(cfg.MSHRs)
 		}
@@ -384,25 +341,23 @@ func New(cfg Config, wl Workload) *System {
 		s.ensureObserver()
 	}
 	for i := 0; i < p.Slices; i++ {
-		sh := shards[i*len(shards)/p.Slices]
 		var pol coherence.DirPolicy
 		if cfg.Mode != coherence.Baseline {
 			ccd := cc
-			ccd.Now = sh.now
-			ds := core.NewDirSide(ccd, i, sh.stats)
+			ccd.Now = s.now
+			ds := core.NewDirSide(ccd, i, st)
 			for _, r := range wl.ReductionRegions {
 				ds.RegisterReduction(r)
 			}
 			s.dirPolicies = append(s.dirPolicies, ds)
 			pol = ds
 		}
-		dir := coherence.NewDir(i, p, cfg.Mode, sh.net, sh.mem, pol, sh.stats)
+		dir := coherence.NewDir(i, p, cfg.Mode, s.net, s.mem, pol, st)
 		dir.SetObs(cfg.Obs)
 		dir.SetForensics(cfg.Forensics)
 		s.dirs = append(s.dirs, dir)
 	}
 	for i := 0; i < p.Cores; i++ {
-		sh := coreShard(i)
 		var fn cpu.ThreadFunc
 		if i < len(wl.Threads) {
 			fn = wl.Threads[i]
@@ -411,17 +366,17 @@ func New(cfg Config, wl Workload) *System {
 			fn = func(*cpu.Ctx) {}
 		}
 		if cfg.OOO {
-			s.cores = append(s.cores, cpu.NewOOO(i, s.l1s[i], fn, cfg.OOOWidth, cfg.ROBSize, sh.stats))
+			s.cores = append(s.cores, cpu.NewOOO(i, s.l1s[i], fn, cfg.OOOWidth, cfg.ROBSize, st))
 		} else {
-			s.cores = append(s.cores, cpu.NewInOrder(i, s.l1s[i], fn, sh.stats))
+			s.cores = append(s.cores, cpu.NewInOrder(i, s.l1s[i], fn, st))
 		}
 	}
-	s.bindShards(shards)
+	s.seq = newShard(s.net, s.dirs, s.l1s, s.cores)
 	// Checkpointing needs the result log armed from the very first committed
 	// operation so threads can be replayed at any later snapshot (and so a
 	// restored thread's re-seeded log keeps growing). Arming is free on the
 	// shapes that can't checkpoint anyway (gated again at run time).
-	if cfg.CheckpointEvery > 0 && !cfg.OOO && s.par == nil {
+	if cfg.CheckpointEvery > 0 && !cfg.OOO {
 		for _, c := range s.cores {
 			if io, ok := c.(*cpu.InOrder); ok {
 				io.SetRecorder(&cpu.OpRecorder{})
@@ -430,6 +385,10 @@ func New(cfg Config, wl Workload) *System {
 	}
 	return s
 }
+
+// now reports the current cycle; it is the Now clock of the FSDetect/FSLite
+// policies.
+func (s *System) now() uint64 { return s.cycle }
 
 // Stop terminates every core's thread coroutine. Run does this itself on
 // every exit path; Stop is for callers that abandon an assembled system
@@ -524,17 +483,7 @@ func (s *System) Run(name string) (*Result, error) {
 	if s.cfg.CheckpointEvery > 0 {
 		return s.runCheckpointed(name, maxCycles)
 	}
-	if s.par != nil {
-		if s.cycleHook != nil || s.observerInstalled {
-			panic("sim: cycle hooks and commit observers are not supported by EngineParallel")
-		}
-		cycle, err := s.par.run(name, maxCycles)
-		if err != nil {
-			return nil, err
-		}
-		s.cycle = cycle
-		s.par.mergeStats()
-	} else if _, err := s.advance(name, maxCycles, noBudget, false); err != nil {
+	if _, err := s.advance(name, maxCycles, noBudget, false); err != nil {
 		return nil, err
 	}
 	return s.buildResult(name), nil

@@ -2,18 +2,14 @@ package sim
 
 // The stepping core every engine shares.
 //
-// A shard is a slice of the machine plus the due-only stepper that advances
-// it. The sequential engines run the whole machine as one shard over the
-// master network, stats set and memory; EngineParallel runs K shards, each
-// over its own deferred-mode network front (see parallel.go). The engines
-// differ only in policy:
+// A shard is the machine's components plus the due-only stepper that
+// advances them. The engines differ only in policy:
 //
 //   - skip: tick only the components that are due, and fast-forward over
 //     cycles in which nothing is;
 //   - naive: every component is due every cycle and nothing is skipped (the
 //     reference oracle; a registered cycle hook forces it, since the hook
-//     must observe every cycle);
-//   - parallel: the skip policy per shard, inside lookahead epochs.
+//     must observe every cycle).
 //
 // A component is due at cycle c when its cached NextEvent is <= c. A cached
 // wake-up may be too early (the component ticks as a no-op) but never too
@@ -27,7 +23,6 @@ import (
 
 	"fscoherence/internal/coherence"
 	"fscoherence/internal/cpu"
-	"fscoherence/internal/memsys"
 	"fscoherence/internal/network"
 	"fscoherence/internal/stats"
 )
@@ -35,25 +30,16 @@ import (
 // noBudget is the access budget of an advance that runs to quiescence.
 const noBudget = ^uint64(0)
 
-// shard is one partition of the machine and its stepper.
+// shard is the machine's components and their stepper.
 type shard struct {
-	clock *uint64 // the shard's current cycle (&System.cycle when sequential)
-
 	net   *network.Network
-	rec   *network.Recorder // deferred-send recorder; nil when sequential
-	stats *stats.Set
-	mem   *memsys.Memory // backing memory for this shard's slices
-
-	dirs     []*coherence.Dir
-	dirRank  []int32
-	l1s      []*coherence.L1
-	l1Rank   []int32
-	cores    []cpu.Core
-	coreRank []int32
+	dirs  []*coherence.Dir
+	l1s   []*coherence.L1
+	cores []cpu.Core
 
 	// Cached NextEvent per component, refreshed after each tick (a
 	// component's wake-up only moves when it ticks). The zero value marks
-	// everything due, so the first stepped cycle ticks the whole shard and
+	// everything due, so the first stepped cycle ticks the whole machine and
 	// seeds the caches.
 	dirNext  []uint64
 	l1Next   []uint64
@@ -61,41 +47,20 @@ type shard struct {
 	l1Act    []bool // per-step scratch: which L1s (and cores) ticked
 }
 
-// now reports the shard's current cycle; it is the Now clock of the shard's
-// FSDetect/FSLite policies.
-func (sh *shard) now() uint64 { return *sh.clock }
-
-// bindShards distributes the constructed components over the shards — core i
-// with its L1 to shards[i*k/Cores], slice j to shards[j*k/Slices] — and
-// assigns the global tick ranks of the fixed step order: directory slices
-// first, then L1s, then cores.
-func (s *System) bindShards(shards []*shard) {
-	p := s.cfg.Params
-	k := len(shards)
-	for j, d := range s.dirs {
-		sh := shards[j*k/p.Slices]
-		sh.dirs = append(sh.dirs, d)
-		sh.dirRank = append(sh.dirRank, int32(j))
-	}
-	for i, l := range s.l1s {
-		sh := shards[i*k/p.Cores]
-		sh.l1s = append(sh.l1s, l)
-		sh.l1Rank = append(sh.l1Rank, int32(p.Slices+i))
-		sh.cores = append(sh.cores, s.cores[i])
-		sh.coreRank = append(sh.coreRank, int32(p.Slices+p.Cores+i))
-	}
-	for _, sh := range shards {
-		sh.dirNext = make([]uint64, len(sh.dirs))
-		sh.l1Next = make([]uint64, len(sh.l1s))
-		sh.coreNext = make([]uint64, len(sh.cores))
-		sh.l1Act = make([]bool, len(sh.l1s))
+// newShard builds the stepper over the constructed components.
+func newShard(net *network.Network, dirs []*coherence.Dir, l1s []*coherence.L1, cores []cpu.Core) *shard {
+	return &shard{
+		net: net, dirs: dirs, l1s: l1s, cores: cores,
+		dirNext:  make([]uint64, len(dirs)),
+		l1Next:   make([]uint64, len(l1s)),
+		coreNext: make([]uint64, len(cores)),
+		l1Act:    make([]bool, len(l1s)),
 	}
 }
 
-// step runs cycle c over the shard in the fixed rank order, labelling each
-// component's recorded network operations with its global tick rank. Under
-// the naive policy every component ticks, and the caches are left alone
-// since nothing reads them.
+// step runs cycle c in the fixed order: directory slices, then L1s, then
+// cores. Under the naive policy every component ticks, and the caches are
+// left alone since nothing reads them.
 //
 // Otherwise only the components that are due tick: one whose cached
 // NextEvent lies beyond c would tick as a pure no-op (the contract whole-
@@ -109,12 +74,10 @@ func (s *System) bindShards(shards []*shard) {
 // network arrivals are consumed inside L1 and directory ticks, so a due
 // arrival ticks everything.
 func (sh *shard) step(c uint64, naive bool) {
-	*sh.clock = c
 	sh.net.SetCycle(c)
 	all := naive || sh.net.NextArrival() <= c
 	for i, d := range sh.dirs {
 		if all || sh.dirNext[i] <= c {
-			sh.rec.Begin(c, sh.dirRank[i])
 			d.Tick(c)
 			if !naive {
 				sh.dirNext[i] = d.NextEvent(c)
@@ -125,7 +88,6 @@ func (sh *shard) step(c uint64, naive bool) {
 	for i, l := range sh.l1s {
 		act[i] = all || sh.l1Next[i] <= c || sh.coreNext[i] <= c
 		if act[i] {
-			sh.rec.Begin(c, sh.l1Rank[i])
 			l.Tick(c)
 		}
 	}
@@ -134,7 +96,6 @@ func (sh *shard) step(c uint64, naive bool) {
 			co.SkipIdle(1)
 			continue
 		}
-		sh.rec.Begin(c, sh.coreRank[i])
 		co.Tick(c)
 		if !naive {
 			sh.coreNext[i] = co.NextEvent(c)
@@ -162,19 +123,19 @@ func (sh *shard) nextWake() uint64 {
 	return wake
 }
 
-// skipTo fast-forwards the clock to the last idle cycle before the earlier of
-// the next wake-up and limit, applying the skipped span's per-cycle stall
-// accounting to every core. It does nothing when the next cycle is due.
-func (sh *shard) skipTo(limit uint64) {
-	now := *sh.clock
+// skipTo returns the cycle to fast-forward to from now: the last idle cycle
+// before the earlier of the next wake-up and limit, with the skipped span's
+// per-cycle stall accounting applied to every core. It returns now when the
+// next cycle is due.
+func (sh *shard) skipTo(now, limit uint64) uint64 {
 	wake := min(sh.nextWake(), limit)
 	if wake <= now+1 {
-		return
+		return now
 	}
 	for _, c := range sh.cores {
 		c.SkipIdle(wake - 1 - now)
 	}
-	*sh.clock = wake - 1
+	return wake - 1
 }
 
 // wakeAll marks every component due, after their state changed outside
@@ -185,7 +146,7 @@ func (sh *shard) wakeAll() {
 	clear(sh.coreNext)
 }
 
-// quiescent reports whether the shard has no work left: every core finished
+// quiescent reports whether the machine has no work left: every core finished
 // — or, with drain set, merely holds no outstanding access (issue is held at
 // a window boundary) — every L1 and directory idle, and no message queued on
 // its network.
@@ -215,7 +176,7 @@ func (sh *shard) quiescent(drain bool) bool {
 	return true
 }
 
-// advance is the one run loop of the sequential engines: Run, the detailed
+// advance is the one run loop: Run, the detailed
 // windows of runSampled, the timed windows of runCheckpointed and their
 // drains. It steps the machine until it is quiescent after a stepped cycle
 // (drain selects the drain predicate; quiesced is then true) or until budget
@@ -247,10 +208,10 @@ func (s *System) advance(name string, maxCycles, budget uint64, drain bool) (qui
 	return false, nil
 }
 
-// naive reports whether the sequential engine runs the naive policy.
+// naive reports whether the run uses the naive policy.
 func (s *System) naive() bool { return s.cfg.Engine == EngineNaive || s.cycleHook != nil }
 
-// stepCycle runs one sequential cycle: the cycle hook, the stepper, then the
+// stepCycle runs one cycle: the cycle hook, the stepper, then the
 // cycle-boundary work (SWMR scan, metrics sample).
 func (s *System) stepCycle() {
 	if s.cycleHook != nil {
@@ -266,7 +227,7 @@ func (s *System) stepCycle() {
 	}
 }
 
-// skipAhead advances the sequential clock to the next wake-up under the skip
+// skipAhead advances the clock to the next wake-up under the skip
 // policy. SWMR-scan and metrics-sample boundaries are wake candidates (their
 // output embeds cycle numbers, and byte-identical output across engines is
 // the contract), and so is maxCycles+1, so that ErrDeadlock fires at the same
@@ -282,7 +243,7 @@ func (s *System) skipAhead(maxCycles uint64) {
 	if m := s.metrics; m != nil {
 		limit = min(limit, nextMultiple(s.cycle, m.Interval))
 	}
-	s.seq.skipTo(limit)
+	s.cycle = s.seq.skipTo(s.cycle, limit)
 }
 
 // nextMultiple returns the first multiple of period after now.

@@ -95,10 +95,7 @@ type Options struct {
 
 	// Engine selects the simulation loop: "" or "skip" for the quiescence-
 	// skipping engine (the default), "naive" for the cycle-stepped reference
-	// loop, "parallel" for the conservative parallel engine (shards the
-	// machine across OS threads; falls back to skip for configurations it
-	// cannot shard — fault plans, observability, oracles). All three are
-	// cycle-exact and produce byte-identical results.
+	// loop. Both are cycle-exact and produce byte-identical results.
 	Engine string
 
 	// Cores scales the machine to an n-core big-machine configuration
@@ -112,10 +109,6 @@ type Options struct {
 	// fixed-latency fabric, "ring" or "mesh" for an on-chip network with
 	// per-hop latency and link contention.
 	Topology string
-
-	// Shards overrides the parallel engine's worker count (0 = one shard
-	// per 8 cores). Ignored by the sequential engines.
-	Shards int
 
 	// Obs attaches the unified observability layer (event tracing and
 	// interval metrics) to the run. Options stays comparable — the pointer
@@ -243,9 +236,9 @@ func (r *Result) NormalizedEnergy(base *Result) float64 {
 // bypass Run).
 func validateMachine(opt Options) error {
 	switch opt.Engine {
-	case "", "skip", "naive", "parallel":
+	case "", "skip", "naive":
 	default:
-		return fmt.Errorf("unknown engine %q (want \"skip\", \"naive\" or \"parallel\")", opt.Engine)
+		return fmt.Errorf("unknown engine %q (want \"skip\" or \"naive\")", opt.Engine)
 	}
 	if _, err := network.ParseTopoKind(opt.Topology); err != nil {
 		return err
@@ -324,10 +317,8 @@ func buildConfig(opt Options) sim.Config {
 		cfg.Engine = sim.EngineSkip
 	case "naive":
 		cfg.Engine = sim.EngineNaive
-	case "parallel":
-		cfg.Engine = sim.EngineParallel
 	default:
-		panic(fmt.Sprintf("fscoherence: unknown engine %q (want \"skip\", \"naive\" or \"parallel\")", opt.Engine))
+		panic(fmt.Sprintf("fscoherence: unknown engine %q (want \"skip\" or \"naive\")", opt.Engine))
 	}
 	if opt.Cores > 0 {
 		cfg.Params = cfg.Params.ScaleToCores(opt.Cores)
@@ -337,7 +328,6 @@ func buildConfig(opt Options) sim.Config {
 		panic(fmt.Sprintf("fscoherence: %v", err))
 	}
 	cfg.Params.Topology = kind
-	cfg.Shards = opt.Shards
 	cfg.Obs = opt.Obs
 	cfg.Forensics = opt.Forensics
 	if opt.Sample != "" {

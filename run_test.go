@@ -17,6 +17,7 @@ func TestRunUnknownBenchmark(t *testing.T) {
 func TestRunRejectsBadMachineOptions(t *testing.T) {
 	for _, opt := range []Options{
 		{Engine: "bogus"},
+		{Engine: "parallel"},
 		{Topology: "torus"},
 		{Cores: 100},
 		{Cores: -8},
@@ -29,7 +30,7 @@ func TestRunRejectsBadMachineOptions(t *testing.T) {
 	// Boundary shapes stay legal.
 	for _, opt := range []Options{
 		{Cores: 8, Topology: "flat", Scale: 0.05},
-		{Cores: 16, Topology: "ring", Engine: "parallel", Scale: 0.05},
+		{Cores: 16, Topology: "ring", Scale: 0.05},
 	} {
 		if _, err := Run("uWW", opt); err != nil {
 			t.Errorf("Run(uWW, %+v): %v", opt, err)

@@ -30,7 +30,6 @@ type Runner struct {
 	engine    string
 	cores     int
 	topology  string
-	shards    int
 	sample    string
 	ckptDir   string
 	ckptEvery uint64
@@ -96,11 +95,11 @@ func (r *Runner) SampledCells() []*Result {
 }
 
 // SetMachine sets default machine-shape fields (core count, interconnect
-// topology, parallel shard count) applied to submitted cells that do not
-// specify them. cmd/fsexp's -cores/-topology/-shards flags use it to rerun
-// entire tables on big-machine configurations.
-func (r *Runner) SetMachine(cores int, topology string, shards int) {
-	r.cores, r.topology, r.shards = cores, topology, shards
+// topology) applied to submitted cells that do not specify them. cmd/fsexp's
+// -cores/-topology flags use it to rerun entire tables on big-machine
+// configurations.
+func (r *Runner) SetMachine(cores int, topology string) {
+	r.cores, r.topology = cores, topology
 }
 
 // SetSupervision installs the per-cell supervision policy: a wall-clock
@@ -178,9 +177,6 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 	}
 	if opt.Topology == "flat" {
 		opt.Topology = "" // one cell for the two spellings of the default
-	}
-	if opt.Shards == 0 {
-		opt.Shards = r.shards
 	}
 	if opt.Sample == "" && r.sample != "" && sampleIncompatible(opt) == nil {
 		opt.Sample = r.sample
