@@ -1,8 +1,9 @@
 # Tier-1 verification for the fscoherence reproduction.
 #
 #   make ci      — the full tier-1 gate: formatting, vet, build, tests, the
-#                  race detector over every package, the cross-engine
-#                  equivalence suite (skip vs naive must be byte-identical),
+#                  race detector over every package, the naive-vs-skip
+#                  equivalence suite (skip must be byte-identical to the
+#                  naive reference a no-op cycle hook selects),
 #                  and a zero-alloc smoke run of the network hot path.
 #   make check   — static gate only: gofmt -l must be clean, PROTOCOL.md's
 #                  generated region must match internal/coherence/spec, the
@@ -12,7 +13,7 @@
 #                  (run after editing the protocol tables).
 #   make test    — build + unit tests only (fast inner loop).
 #   make race    — race-detector pass only.
-#   make equiv   — cross-engine equivalence tests only.
+#   make equiv   — naive-vs-skip equivalence tests only.
 #   make bench   — run the Benchmark* suite (-benchmem, one iteration each)
 #                  and capture the parsed results into BENCH_6.json. Includes
 #                  the sampled 10^9-access mesh-64 cell (~1 min).
@@ -27,7 +28,7 @@
 #                  runs, and must be byte-identical across -j worker counts.
 #   make ckptcheck — the crash-resilience gate: kill a run mid-window, resume
 #                  from its checkpoint and demand byte-identical final
-#                  counters across {skip, naive} x {flat, mesh}; corrupt /
+#                  counters on {flat, mesh} and sampled runs; corrupt /
 #                  version-skewed / wrong-identity checkpoints must degrade to
 #                  cold runs; campaign journals must resume; plus a real
 #                  SIGKILL-mid-run smoke test under -race.
@@ -77,13 +78,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Cross-engine determinism: every workload x protocol under the naive and
-# skip policies of the one stepper, the big-machine matrix, the machine
-# shapes and attachments of TestEngineEquivalenceAttachments (OOO, L2,
-# non-inclusive LLC, forensics, metrics, fault plans), golden-trace and
-# figure-table byte-equality, and the spec-table dispatch reproducing its
-# pinned results across {naive,skip} x {flat,mesh} (engine_test.go,
-# internal/sim).
+# Naive-vs-skip determinism: every workload x protocol under the skip policy
+# and the naive reference (selected by a no-op cycle hook; no option selects
+# it), the big-machine matrix, the machine shapes and attachments of
+# TestEngineEquivalenceAttachments (OOO, L2, non-inclusive LLC, forensics,
+# metrics, fault plans, sampled and checkpointed runs), golden-trace
+# byte-equality, and the spec-table dispatch reproducing its pinned results
+# across {naive,skip} x {flat,mesh} (engine_test.go, internal/sim).
 equiv:
 	$(GO) test -run 'TestEngine' -count=1 . ./internal/sim/
 

@@ -55,19 +55,6 @@ func BenchmarkFig14aSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkFig14aSpeedupNaiveEngine reruns the Fig 14a experiment under the
-// naive cycle-stepped loop; the ns/op ratio to BenchmarkFig14aSpeedup (which
-// uses the default quiescence-skipping engine) is the engine's wall-clock
-// speedup. Results are byte-identical (TestEngineEquivalence).
-func BenchmarkFig14aSpeedupNaiveEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := serialRunner()
-		r.SetEngine("naive")
-		t := Fig14Speedup(r, benchScale)
-		reportGeo(b, t, "fslite", "fslite-geomean-speedup")
-	}
-}
-
 func BenchmarkFig14bEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := Fig14Energy(serialRunner(), benchScale)
@@ -191,11 +178,10 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // benchBigMachine runs the Fig 14a-shaped big-machine cell — uGRID on a
 // mesh-NoC machine of the given core count, Baseline vs FSLite in the
-// default (falsely shared) layout — under the skip engine, reporting FSLite's
-// speedup.
+// default (falsely shared) layout — reporting FSLite's speedup.
 func benchBigMachine(b *testing.B, cores int) {
 	for i := 0; i < b.N; i++ {
-		opt := Options{Protocol: Baseline, Scale: 1, Cores: cores, Topology: "mesh", Engine: "skip"}
+		opt := Options{Protocol: Baseline, Scale: 1, Cores: cores, Topology: "mesh"}
 		base, err := Run("uGRID", opt)
 		if err != nil {
 			b.Fatal(err)

@@ -78,38 +78,17 @@ func (c RunControl) enabled() bool {
 }
 
 // CheckpointCompatible reports whether a cell's options support
-// checkpoint/restore (mirrors validateCheckpointable; sweeps use it to skip
-// checkpointing on incompatible cells instead of failing them).
+// checkpoint/restore (sweeps use it to skip checkpointing on incompatible
+// cells instead of failing them).
 func CheckpointCompatible(opt Options) bool {
-	return validateCheckpointable(opt) == nil
-}
-
-// validateCheckpointable rejects options whose state cannot be fully
-// serialized. The engine is not checked here: naive is byte-identical to
-// skip and falls back with a warning instead.
-func validateCheckpointable(opt Options) error {
-	switch {
-	case opt.OOO:
-		return fmt.Errorf("checkpointing supports only the in-order core model")
-	case opt.Verify:
-		return fmt.Errorf("checkpointing is incompatible with -verify: oracle state is not serialized")
-	case opt.Obs != nil:
-		return fmt.Errorf("checkpointing is incompatible with observability attachments")
-	case opt.Forensics != nil:
-		return fmt.Errorf("checkpointing is incompatible with forensics recording")
-	case opt.L2KB > 0:
-		return fmt.Errorf("checkpointing requires the two-level hierarchy (drop -l2kb)")
-	case opt.NonInclusiveLLC:
-		return fmt.Errorf("checkpointing requires the inclusive LLC (drop -noninclusive)")
-	}
-	return nil
+	return drainableShape(opt, "checkpointing") == nil
 }
 
 // ckptIdentity is the hashed identity of a checkpointed execution: the
 // benchmark, the normalized options, the checkpoint cadence (cadence defines
 // the execution) and the envelope format version. Everything that changes
-// the machine's byte-exact trajectory is in here; everything that does not
-// (engine choice) is normalized out.
+// the machine's byte-exact trajectory is in here; the two spellings of a
+// default are normalized to one.
 type ckptIdentity struct {
 	Bench   string
 	Opt     Options
@@ -120,7 +99,6 @@ type ckptIdentity struct {
 // checkpointIdentity computes the identity hash stored in (and demanded
 // from) every checkpoint envelope for this run.
 func checkpointIdentity(bench string, opt Options, every uint64) uint64 {
-	opt.Engine = "skip" // all engines are byte-identical; checkpointed runs use skip
 	if opt.Topology == "flat" {
 		opt.Topology = "" // one identity for the two spellings of the default
 	}
@@ -167,8 +145,8 @@ func loadResume(ctl RunControl, cacheFile string, identity uint64) (*sim.Machine
 
 // RunControlled executes benchmark bench under opt like Run, with
 // crash-resilience per ctl: periodic checkpoints, resume, warm-state cache
-// and cooperative cancellation. Warnings (engine fallback, rejected
-// checkpoints) are reported in Result.Warnings.
+// and cooperative cancellation. Warnings (rejected checkpoints) are reported
+// in Result.Warnings.
 func RunControlled(bench string, opt Options, ctl RunControl) (*Result, error) {
 	spec, err := workload.ByName(bench)
 	if err != nil {
@@ -182,17 +160,8 @@ func RunControlled(bench string, opt Options, ctl RunControl) (*Result, error) {
 	}
 	var warnings []string
 	if ctl.enabled() {
-		if err := validateCheckpointable(opt); err != nil {
+		if err := drainableShape(opt, "checkpointing"); err != nil {
 			return nil, err
-		}
-		switch opt.Engine {
-		case "", "skip":
-		default:
-			// naive is byte-identical to skip, so falling back
-			// preserves every result while making the state serializable.
-			warnings = append(warnings,
-				fmt.Sprintf("checkpointing runs under the skip engine (requested %q is byte-identical; falling back)", opt.Engine))
-			opt.Engine = "skip"
 		}
 		if ctl.CheckpointEvery == 0 {
 			ctl.CheckpointEvery = DefaultCheckpointEvery

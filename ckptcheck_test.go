@@ -85,26 +85,21 @@ func requireByteIdentical(t *testing.T, ref, got *Result) {
 }
 
 // TestCheckpointResumeByteIdentical is the ckptcheck matrix: kill mid-window
-// and resume across {skip, naive} × {flat, mesh}. The naive engine falls
-// back to skip under checkpointing (byte-identical by the engine equivalence
-// contract), so the fallback path is part of the matrix.
+// and resume under the skip policy on {flat, mesh}. (The naive policy's
+// byte-identity under checkpointing is internal/sim's checkpointed cell of
+// TestEngineEquivalenceAttachments.)
 func TestCheckpointResumeByteIdentical(t *testing.T) {
-	for _, engine := range []string{"skip", "naive"} {
-		for _, topo := range []string{"flat", "mesh"} {
-			t.Run(engine+"/"+topo, func(t *testing.T) {
-				t.Parallel()
-				opt := Options{Protocol: FSDetect, Scale: testScale, Engine: engine, Topology: topo}
-				ref, err := RunControlled("RC", opt, RunControl{CheckpointEvery: ckptEvery})
-				if err != nil {
-					t.Fatalf("uninterrupted run failed: %v", err)
-				}
-				if engine == "naive" && len(ref.Warnings) == 0 {
-					t.Errorf("naive engine should warn about the skip fallback")
-				}
-				got := runInterruptedThenResumed(t, "RC", opt, 2)
-				requireByteIdentical(t, ref, got)
-			})
-		}
+	for _, topo := range []string{"flat", "mesh"} {
+		t.Run("skip/"+topo, func(t *testing.T) {
+			t.Parallel()
+			opt := Options{Protocol: FSDetect, Scale: testScale, Topology: topo}
+			ref, err := RunControlled("RC", opt, RunControl{CheckpointEvery: ckptEvery})
+			if err != nil {
+				t.Fatalf("uninterrupted run failed: %v", err)
+			}
+			got := runInterruptedThenResumed(t, "RC", opt, 2)
+			requireByteIdentical(t, ref, got)
+		})
 	}
 }
 
@@ -306,11 +301,6 @@ func TestCadenceIsPartOfIdentity(t *testing.T) {
 	}
 	if checkpointIdentity("RC", opt, 10_000) != a {
 		t.Errorf("identity is not deterministic")
-	}
-	eng := opt
-	eng.Engine = "naive"
-	if checkpointIdentity("RC", eng, 10_000) != a {
-		t.Errorf("identity should normalize the engine out (engines are byte-identical)")
 	}
 }
 

@@ -17,7 +17,6 @@
 //	fsexp -exp fig17      # one experiment
 //	fsexp -all -markdown  # emit EXPERIMENTS.md-style markdown
 //	fsexp -all -v         # per-cell timing on stderr
-//	fsexp -engine naive   # cycle-stepped reference engine (byte-identical)
 //	fsexp -cpuprofile cpu.out -memprofile mem.out  # pprof the sweep
 //
 // Crash resilience: -journal records every completed cell to a JSONL
@@ -49,7 +48,6 @@ import (
 func main() {
 	var (
 		all      = flag.Bool("all", false, "run every experiment")
-		engine   = flag.String("engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference)")
 		cores    = flag.Int("cores", 0, "scale the machine to this many cores (0 = Table II 8-core default; up to 256)")
 		topology = flag.String("topology", "", "interconnect: flat (default) | ring | mesh")
 		exp      = flag.String("exp", "", "run a single experiment by ID (fig2, fig13, ...)")
@@ -79,17 +77,9 @@ func main() {
 	)
 	prof := profiling.AddFlags()
 	flag.Parse()
-	if *engine != "skip" && *engine != "naive" {
-		fmt.Fprintf(os.Stderr, "fsexp: unknown -engine %q (want skip or naive)\n", *engine)
-		os.Exit(1)
-	}
 	if *sampled != "" {
 		if _, err := sample.ParseSpec(*sampled); err != nil {
 			fmt.Fprintln(os.Stderr, "fsexp:", err)
-			os.Exit(1)
-		}
-		if *engine != "skip" {
-			fmt.Fprintf(os.Stderr, "fsexp: -sample requires the skip engine, not -engine=%s\n", *engine)
 			os.Exit(1)
 		}
 	}
@@ -129,7 +119,6 @@ func main() {
 	// One engine for the whole invocation: cells shared between tables
 	// (e.g. every Baseline reference run) are simulated exactly once.
 	eng := fscoherence.NewRunner(*jobs)
-	eng.SetEngine(*engine)
 	eng.SetMachine(*cores, *topology)
 	eng.SetSample(*sampled)
 	if *timeout > 0 || *retries > 0 || *backoff > 0 {
@@ -307,24 +296,10 @@ func traceCell(eng *fscoherence.Runner, bench, protocol string, scale float64, t
 		fmt.Fprintln(os.Stderr, "fsexp:", err)
 		os.Exit(1)
 	}
-	write := func(path string, fn func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		fh, err := os.Create(path)
-		if err == nil {
-			err = fn(fh)
-		}
-		if cerr := fh.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsexp:", err)
-			os.Exit(1)
-		}
+	if err := o.WriteFiles(traceOut, metricsOut); err != nil {
+		fmt.Fprintln(os.Stderr, "fsexp:", err)
+		os.Exit(1)
 	}
-	write(traceOut, func(fh *os.File) error { return obs.WriteChromeTrace(fh, o.Tracer.Events()) })
-	write(metricsOut, func(fh *os.File) error { return o.Metrics.WriteCSV(fh) })
 	fmt.Fprintf(os.Stderr, "[traced %s/%s: %d events]\n", bench, protocol, o.Tracer.Total())
 }
 

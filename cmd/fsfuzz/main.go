@@ -198,16 +198,10 @@ func doReplay(path, traceOut string, opt fuzz.Options) int {
 	fmt.Printf("replaying %s\n%s\n", path, p)
 	out := fuzz.Execute(p, opt)
 	if o != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
+		if err := o.WriteFiles(traceOut, ""); err != nil {
 			fmt.Fprintln(os.Stderr, "fsfuzz:", err)
 			return 2
 		}
-		if err := obs.WriteChromeTrace(f, o.Tracer.Events()); err != nil {
-			fmt.Fprintln(os.Stderr, "fsfuzz:", err)
-			return 2
-		}
-		f.Close()
 		fmt.Fprintf(os.Stderr, "[trace: %d events -> %s; open in Perfetto]\n",
 			len(o.Tracer.Events()), traceOut)
 	}

@@ -122,10 +122,10 @@ type campaignRow struct {
 // buildHTMLData assembles the full report model: the FSLite detail run's
 // recorder (heatmaps, timelines, repair efficacy), the FSDetect accuracy
 // sweep and the campaign summary.
-func buildHTMLData(bench, variant string, v fscoherence.Variant, scale float64, rep report) (*htmlData, error) {
+func buildHTMLData(bench string, v fscoherence.Variant, scale float64, rep report) (*htmlData, error) {
 	d := &htmlData{
 		Benchmark: bench,
-		Variant:   variant,
+		Variant:   v.String(),
 		Scale:     scale,
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		Rep:       rep,

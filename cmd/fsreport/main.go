@@ -28,7 +28,7 @@ func main() {
 		bench    = flag.String("bench", "RC", "benchmark code (fsrun -list shows all)")
 		scale    = flag.Float64("scale", 1.0, "workload size multiplier")
 		asJSON   = flag.Bool("json", false, "emit machine-readable JSON")
-		variant  = flag.String("variant", "default", "default | padded | huron")
+		variant  = flag.String("variant", "default", "default | padded (alias manual) | huron")
 		traceOut = flag.String("trace", "", "also write the FSDetect run's Chrome trace-event JSON to this file")
 		metrics  = flag.String("metrics", "", "also write the FSDetect run's interval metrics CSV to this file")
 		filter   = flag.String("trace-filter", "", "override the trace filter (default: detector events only)")
@@ -50,12 +50,9 @@ func main() {
 		}
 	}
 
-	v := fscoherence.LayoutDefault
-	switch *variant {
-	case "padded":
-		v = fscoherence.LayoutPadded
-	case "huron":
-		v = fscoherence.LayoutHuron
+	v, err := fscoherence.ParseVariant(*variant)
+	if err != nil {
+		fatal(err)
 	}
 
 	o := detectionObs()
@@ -81,33 +78,12 @@ func main() {
 
 	rep := buildReport(*bench, base, det)
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteChromeTrace(f, o.Tracer.Events()); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if *metrics != "" {
-		f, err := os.Create(*metrics)
-		if err != nil {
-			fatal(err)
-		}
-		if err := o.Metrics.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	if err := o.WriteFiles(*traceOut, *metrics); err != nil {
+		fatal(err)
 	}
 
 	if *htmlOut != "" {
-		data, err := buildHTMLData(*bench, *variant, v, *scale, rep)
+		data, err := buildHTMLData(*bench, v, *scale, rep)
 		if err != nil {
 			fatal(err)
 		}
@@ -134,7 +110,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("FSDetect report for %s (%s layout)\n", rep.Benchmark, *variant)
+	fmt.Printf("FSDetect report for %s (%s layout)\n", rep.Benchmark, v)
 	if s := rep.Sampled; s != nil {
 		cyc := s.Estimates["sim.cycles"]
 		fmt.Printf("  run length          %.0f ± %.0f cycles (95%% CI; sampled %s, %d windows, %.2f%% detail; detection overhead %.2f%%)\n",

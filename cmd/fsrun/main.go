@@ -17,7 +17,6 @@
 //	fsrun -bench LR -mode fslite -trace out.json -metrics out.csv
 //	fsrun -bench RC -compare
 //	fsrun -bench RC -compare -j 3
-//	fsrun -bench RC -engine naive               # cycle-stepped reference
 //	fsrun -bench RC -cpuprofile cpu.out         # pprof the run
 //	fsrun -bench RC -compare -counters          # line-comparable counter dump
 //	fsrun -bench RC -checkpoint run.ckpt -checkpoint-every 500k  # crash-resilient run
@@ -46,7 +45,7 @@ func main() {
 		bench    = flag.String("bench", "RC", "benchmark code (see -list)")
 		protocol = flag.String("protocol", "baseline", "baseline | fsdetect | fslite")
 		mode     = flag.String("mode", "", "alias for -protocol")
-		variant  = flag.String("variant", "default", "default | padded | huron")
+		variant  = flag.String("variant", "default", "default | padded (alias manual) | huron")
 		scale    = flag.Float64("scale", 1.0, "workload size multiplier")
 		jobs     = flag.Int("j", runtime.NumCPU(), "max concurrent simulations for -compare (1 = serial)")
 		compare  = flag.Bool("compare", false, "run all three protocols and print speedups")
@@ -58,7 +57,6 @@ func main() {
 		filter   = flag.String("trace-filter", "", "restrict traced events: addr=0x...,core=N,class=net|l1|dir|detect|prv|commit|oracle")
 		counters = flag.Bool("counters", false, "after the run, dump every canonical counter (zeros included) in sorted order")
 		ctrTable = flag.Bool("counter-table", false, "print the canonical counter-name documentation table and exit")
-		engine   = flag.String("engine", "skip", "simulation engine: skip (quiescence-skipping, default) | naive (cycle-stepped reference)")
 		cores    = flag.Int("cores", 0, "scale the machine to this many cores (0 = Table II 8-core default; up to 256)")
 		topology = flag.String("topology", "", "interconnect: flat (default) | ring | mesh")
 		sampled  = flag.String("sample", "", "interval sampling spec detailed:warming in committed accesses (e.g. 50k:950k); timing metrics become estimates with 95% CIs")
@@ -70,9 +68,6 @@ func main() {
 	flag.Parse()
 	if *mode != "" {
 		*protocol = *mode
-	}
-	if *engine != "skip" && *engine != "naive" {
-		fatal(fmt.Errorf("unknown -engine %q (want skip or naive)", *engine))
 	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
@@ -99,7 +94,7 @@ func main() {
 		return
 	}
 
-	v, err := parseVariant(*variant)
+	v, err := fscoherence.ParseVariant(*variant)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,7 +130,6 @@ func main() {
 			return nil
 		}
 		eng := fscoherence.NewRunner(*jobs)
-		eng.SetEngine(*engine)
 		eng.SetMachine(*cores, *topology)
 		eng.SetSample(*sampled)
 		baseF := eng.Submit(*bench, fscoherence.Options{Protocol: fscoherence.Baseline, Variant: v, Scale: *scale, Verify: *verify, Obs: obsFor(fscoherence.Baseline)})
@@ -158,7 +152,7 @@ func main() {
 		return
 	}
 
-	r := run(*bench, fscoherence.Options{Protocol: p, Variant: v, Scale: *scale, Verify: *verify, Engine: *engine,
+	r := run(*bench, fscoherence.Options{Protocol: p, Variant: v, Scale: *scale, Verify: *verify,
 		Cores: *cores, Topology: *topology, Obs: o, Sample: *sampled}, ctl)
 	writeObs(o, *traceOut, *metrics)
 	fmt.Printf("benchmark %s under %v (%s layout)\n", *bench, p, v)
@@ -212,7 +206,7 @@ func printSampled(rs []*fscoherence.Result) {
 // printCounterColumns dumps every canonical counter — zeros included — in
 // sorted name order, one column per result. The fixed name set and ordering
 // make two dumps line-comparable: `diff` or `paste` aligns counter-for-
-// counter across runs, protocols and engines.
+// counter across runs and protocols.
 func printCounterColumns(rs []*fscoherence.Result) {
 	names := make([]string, 0, len(stats.Canonical()))
 	for _, c := range stats.Canonical() {
@@ -247,31 +241,14 @@ func writeObs(o *obs.Obs, traceOut, metricsOut string) {
 	if o == nil {
 		return
 	}
+	if err := o.WriteFiles(traceOut, metricsOut); err != nil {
+		fatal(err)
+	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteChromeTrace(f, o.Tracer.Events()); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
 		fmt.Fprintf(os.Stderr, "[trace: %d events -> %s (%d seen, %d dropped); open in Perfetto]\n",
 			len(o.Tracer.Events()), traceOut, o.Tracer.Total(), o.Tracer.Dropped())
 	}
 	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := o.Metrics.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
 		fmt.Fprintf(os.Stderr, "[metrics: %d samples, %d histograms -> %s]\n",
 			len(o.Metrics.Samples()), len(o.Metrics.Histograms()), metricsOut)
 	}
@@ -314,18 +291,6 @@ func printDetections(r *fscoherence.Result) {
 		fmt.Printf("  %v  episodes=%d writers=%v readers=%v (first at cycle %d)\n",
 			d.Addr, d.Episodes, d.Writers, d.Readers, d.Cycle)
 	}
-}
-
-func parseVariant(s string) (fscoherence.Variant, error) {
-	switch strings.ToLower(s) {
-	case "default", "":
-		return fscoherence.LayoutDefault, nil
-	case "padded", "manual":
-		return fscoherence.LayoutPadded, nil
-	case "huron":
-		return fscoherence.LayoutHuron, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
 }
 
 func fatal(err error) {

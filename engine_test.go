@@ -8,30 +8,68 @@ import (
 
 	"fscoherence/internal/forensics"
 	"fscoherence/internal/obs"
+	"fscoherence/internal/sim"
 	"fscoherence/internal/workload"
 )
 
-// engineEquivalenceScale keeps the full workload × protocol × engine matrix
-// affordable; the naive engine pays for every simulated cycle, so this is the
+// engineEquivalenceScale keeps the full workload × protocol × policy matrix
+// affordable; the naive policy pays for every simulated cycle, so this is the
 // most expensive test in the suite at larger scales.
 const engineEquivalenceScale = 0.2
 
+// runNaive runs bench like Run, but under the naive policy: a counting
+// cycle hook makes every component due every cycle and disables skipping.
+// It is the reference the default skip policy is proven against, so a fully
+// timed run that the hook did not see every cycle of is an error.
+func runNaive(bench string, opt Options) (*Result, error) {
+	spec, err := workload.ByName(bench)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Scale == 0 {
+		opt.Scale = 1
+	}
+	threads, regions, gt := spec.BuildLabeled(opt.Variant, workload.Scale(opt.Scale), opt.Cores)
+	s := sim.New(buildConfig(opt), sim.Workload{Name: bench, Threads: threads, ReductionRegions: regions})
+	steps := uint64(0)
+	s.SetCycleHook(func(uint64) { steps++ })
+	res, err := s.Run(bench)
+	if err != nil {
+		return nil, err
+	}
+	if res.Sampled == nil && steps != res.Cycles {
+		return nil, fmt.Errorf("naive run of %s stepped %d of %d cycles", bench, steps, res.Cycles)
+	}
+	return assembleResult(bench, opt, gt, res), nil
+}
+
+// policies lists the two stepping policies with their runners, the naive
+// reference first.
+var policies = []struct {
+	name string
+	run  func(bench string, opt Options) (*Result, error)
+}{
+	{"naive", runNaive},
+	{"skip", Run},
+}
+
 // TestEngineEquivalence is the tentpole acceptance test: for every registered
-// workload under all three protocol modes, the quiescence-skipping engine and
-// the naive cycle-stepped loop must produce identical cycle counts, identical
-// counter snapshots, and identical detection lists. Skipping is a pure
-// wall-clock optimization; any divergence here is a missed or late wake-up.
+// workload under all three protocol modes, the quiescence-skipping policy and
+// the naive cycle-stepped reference must produce identical cycle counts,
+// identical counter snapshots, and identical detection lists. Skipping is a
+// pure wall-clock optimization; any divergence here is a missed or late
+// wake-up.
 func TestEngineEquivalence(t *testing.T) {
 	for _, bench := range workload.Names() {
 		for _, mode := range []Protocol{Baseline, FSDetect, FSLite} {
 			bench, mode := bench, mode
 			t.Run(fmt.Sprintf("%s-%v", bench, mode), func(t *testing.T) {
 				t.Parallel()
-				naive, err := Run(bench, Options{Protocol: mode, Scale: engineEquivalenceScale, Engine: "naive"})
+				naive, err := runNaive(bench, Options{Protocol: mode, Scale: engineEquivalenceScale})
 				if err != nil {
 					t.Fatal(err)
 				}
-				skip, err := Run(bench, Options{Protocol: mode, Scale: engineEquivalenceScale, Engine: "skip"})
+				skip, err := Run(bench, Options{Protocol: mode, Scale: engineEquivalenceScale})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,8 +105,7 @@ func TestEngineEquivalence(t *testing.T) {
 // uGRID workload under FSLite. Every cell must produce identical cycle
 // counts, byte-identical counter snapshots and identical detection lists —
 // the due-only stepper and the NoC models' deterministic link contention are
-// both on trial here. (`make equiv` picks
-// this up via the TestEngine prefix.)
+// both on trial here. (`make equiv` picks this up via the TestEngine prefix.)
 func TestEngineEquivalenceBigMachine(t *testing.T) {
 	const scale = 0.1
 	for _, cores := range []int{8, 64, 256} {
@@ -77,36 +114,37 @@ func TestEngineEquivalenceBigMachine(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-%dc", topo, cores), func(t *testing.T) {
 				t.Parallel()
 				var ref *Result
-				for _, engine := range []string{"naive", "skip"} {
-					got, err := Run("uGRID", Options{
-						Protocol: FSLite, Scale: scale, Engine: engine,
+				for _, p := range policies {
+					policy := p.name
+					got, err := p.run("uGRID", Options{
+						Protocol: FSLite, Scale: scale,
 						Cores: cores, Topology: topo,
 					})
 					if err != nil {
-						t.Fatalf("%s: %v", engine, err)
+						t.Fatalf("%s: %v", policy, err)
 					}
 					if ref == nil {
 						ref = got
 						continue
 					}
 					if got.Cycles != ref.Cycles {
-						t.Errorf("%s: cycles diverge: naive=%d %s=%d", engine, ref.Cycles, engine, got.Cycles)
+						t.Errorf("%s: cycles diverge: naive=%d %s=%d", policy, ref.Cycles, policy, got.Cycles)
 					}
 					rs, gs := ref.Stats.Snapshot(), got.Stats.Snapshot()
 					if !reflect.DeepEqual(rs, gs) {
 						for k, v := range rs {
 							if gs[k] != v {
-								t.Errorf("%s: counter %s diverges: naive=%d got=%d", engine, k, v, gs[k])
+								t.Errorf("%s: counter %s diverges: naive=%d got=%d", policy, k, v, gs[k])
 							}
 						}
 						for k, v := range gs {
 							if _, ok := rs[k]; !ok {
-								t.Errorf("%s: counter %s only under %s (=%d)", engine, k, engine, v)
+								t.Errorf("%s: counter %s only under %s (=%d)", policy, k, policy, v)
 							}
 						}
 					}
 					if !reflect.DeepEqual(got.Detections, ref.Detections) {
-						t.Errorf("%s: detections diverge:\nnaive: %v\n%s: %v", engine, ref.Detections, engine, got.Detections)
+						t.Errorf("%s: detections diverge:\nnaive: %v\n%s: %v", policy, ref.Detections, policy, got.Detections)
 					}
 				}
 			})
@@ -115,18 +153,18 @@ func TestEngineEquivalenceBigMachine(t *testing.T) {
 }
 
 // TestEngineEquivalenceVerified reruns one false-sharing cell per protocol
-// with the oracle and SWMR scanner enabled under both engines: the per-cycle
+// with the oracle and SWMR scanner enabled under both policies: the per-cycle
 // invariant machinery must observe the same architectural history.
 func TestEngineEquivalenceVerified(t *testing.T) {
 	for _, mode := range []Protocol{Baseline, FSDetect, FSLite} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
-			naive, err := Run("LR", Options{Protocol: mode, Scale: engineEquivalenceScale, Verify: true, Engine: "naive"})
+			naive, err := runNaive("LR", Options{Protocol: mode, Scale: engineEquivalenceScale, Verify: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			skip, err := Run("LR", Options{Protocol: mode, Scale: engineEquivalenceScale, Verify: true, Engine: "skip"})
+			skip, err := Run("LR", Options{Protocol: mode, Scale: engineEquivalenceScale, Verify: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,24 +208,23 @@ func TestEngineEquivalenceAttachments(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(engine string) (*Result, *forensics.Recorder, *obs.Obs) {
+			run := func(policy func(string, Options) (*Result, error)) (*Result, *forensics.Recorder, *obs.Obs) {
 				opt := c.opt
 				opt.Scale = 1
-				opt.Engine = engine
 				switch c.name {
 				case "forensics":
 					opt.Forensics = forensics.New()
 				case "metrics":
 					opt.Obs = obs.New(obs.Config{MetricsInterval: 37})
 				}
-				res, err := Run(c.bench, opt)
+				res, err := policy(c.bench, opt)
 				if err != nil {
-					t.Fatalf("%s: %v", engine, err)
+					t.Fatal(err)
 				}
 				return res, opt.Forensics, opt.Obs
 			}
-			naive, nrec, nobs := run("naive")
-			skip, srec, sobs := run("skip")
+			naive, nrec, nobs := run(runNaive)
+			skip, srec, sobs := run(Run)
 			if naive.Cycles != skip.Cycles {
 				t.Errorf("cycles diverge: naive=%d skip=%d", naive.Cycles, skip.Cycles)
 			}
@@ -225,12 +262,12 @@ func TestEngineEquivalenceAttachments(t *testing.T) {
 }
 
 // traceUnder runs the golden lock workload (LR under FSLite) with the full
-// observability attachment on the given engine and returns the exported
-// Chrome trace bytes.
-func traceUnder(t *testing.T, engine string) []byte {
+// observability attachment under the given policy's runner and returns the
+// exported Chrome trace bytes.
+func traceUnder(t *testing.T, run func(string, Options) (*Result, error)) []byte {
 	t.Helper()
 	o := obs.New(obs.Config{})
-	if _, err := Run("LR", Options{Protocol: FSLite, Scale: 0.5, Obs: o, Engine: engine}); err != nil {
+	if _, err := run("LR", Options{Protocol: FSLite, Scale: 0.5, Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -241,32 +278,15 @@ func traceUnder(t *testing.T, engine string) []byte {
 }
 
 // TestEngineGoldenTraceIdentical pins the strongest equivalence property:
-// with event tracing enabled (which forces the skipping engine to honor every
+// with event tracing enabled (which forces the skip policy to honor every
 // cycle at which any event fires), the exported trace of the golden lock run
-// is byte-identical between engines — same events, same cycle stamps, same
+// is byte-identical between policies — same events, same cycle stamps, same
 // order.
 func TestEngineGoldenTraceIdentical(t *testing.T) {
-	naive := traceUnder(t, "naive")
-	skip := traceUnder(t, "skip")
+	naive := traceUnder(t, runNaive)
+	skip := traceUnder(t, Run)
 	if !bytes.Equal(naive, skip) {
-		t.Fatalf("golden trace diverges between engines: naive=%d bytes, skip=%d bytes", len(naive), len(skip))
-	}
-}
-
-// TestEngineFigTablesIdentical renders one full figure table under each
-// engine (via the Runner-level engine default, as fsexp -engine does) and
-// compares the rendered output byte-for-byte.
-func TestEngineFigTablesIdentical(t *testing.T) {
-	render := func(engine string) string {
-		r := NewRunner(0)
-		r.SetEngine(engine)
-		return Fig14Speedup(r, engineEquivalenceScale).String() +
-			Fig13MissFractions(r, engineEquivalenceScale).String()
-	}
-	naive := render("naive")
-	skip := render("skip")
-	if naive != skip {
-		t.Fatalf("figure tables diverge between engines:\n--- naive ---\n%s\n--- skip ---\n%s", naive, skip)
+		t.Fatalf("golden trace diverges between policies: naive=%d bytes, skip=%d bytes", len(naive), len(skip))
 	}
 }
 
@@ -279,19 +299,19 @@ var dispatchPinned = map[string]string{
 }
 
 // TestEngineDispatchEquivalence gates `make equiv` on the spec-driven
-// dispatch layer: under every engine × topology combination, routing
+// dispatch layer: under every policy × topology combination, routing
 // coherence messages through the table-driven interpreter built from
 // internal/coherence/spec must reproduce the pinned result. The pins were
 // recorded while the hand-written switch dispatch still existed and agreed
 // with the interpreter, so any divergence here is a hole in the spec tables
 // or a change in a handler.
 func TestEngineDispatchEquivalence(t *testing.T) {
-	for _, engine := range []string{"naive", "skip"} {
+	for _, p := range policies {
 		for _, topo := range []string{"flat", "mesh"} {
-			engine, topo := engine, topo
-			t.Run(fmt.Sprintf("%s-%s-%v", engine, topo, FSLite), func(t *testing.T) {
+			p, topo := p, topo
+			t.Run(fmt.Sprintf("%s-%s-%v", p.name, topo, FSLite), func(t *testing.T) {
 				t.Parallel()
-				res, err := Run("uRW", Options{Protocol: FSLite, Scale: engineEquivalenceScale, Engine: engine, Topology: topo})
+				res, err := p.run("uRW", Options{Protocol: FSLite, Scale: engineEquivalenceScale, Topology: topo})
 				if err != nil {
 					t.Fatal(err)
 				}

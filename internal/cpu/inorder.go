@@ -26,7 +26,7 @@ type Core interface {
 	// SkipIdle accounts for n consecutive cycles the engine fast-forwarded
 	// over: the core must apply exactly the per-cycle bookkeeping (stall
 	// counters) its Tick would have performed in each skipped cycle, so
-	// counter snapshots stay byte-identical to the naive engine.
+	// counter snapshots stay byte-identical to the naive policy.
 	SkipIdle(n uint64)
 	// Stop terminates the core's thread coroutine; a thread parked
 	// mid-operation unwinds cleanly. Must be called when a simulation ends
@@ -68,7 +68,7 @@ type InOrder struct {
 
 // NewInOrder builds an in-order core running fn.
 func NewInOrder(id int, l1 *coherence.L1, fn ThreadFunc, st *stats.Set) *InOrder {
-	c := &InOrder{id: id, l1: l1, runner: startThread(id, fn), stats: st}
+	c := &InOrder{id: id, l1: l1, runner: startThread(fn), stats: st}
 	c.slot = newAccessSlot(c.finish)
 	return c
 }

@@ -49,7 +49,7 @@ type OOO struct {
 // reorder-buffer capacity, running fn. The L1 should be configured with a
 // matching number of MSHRs.
 func NewOOO(id int, l1 *coherence.L1, fn ThreadFunc, width, robSize int, st *stats.Set) *OOO {
-	c := &OOO{id: id, l1: l1, runner: startThread(id, fn), stats: st, width: width, robSize: robSize}
+	c := &OOO{id: id, l1: l1, runner: startThread(fn), stats: st, width: width, robSize: robSize}
 	c.refill(0, true)
 	return c
 }

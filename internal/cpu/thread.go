@@ -27,7 +27,6 @@ type threadAborted struct{}
 // difference is the bulk of the simulator's wall-clock time on handshake-bound
 // workloads.
 type Ctx struct {
-	id    int
 	yield func(Op) bool
 	res   uint64
 
@@ -74,9 +73,6 @@ func (c *Ctx) warmTake() bool {
 	c.warmBudget--
 	return true
 }
-
-// ID returns the thread's (== core's) index.
-func (c *Ctx) ID() int { return c.id }
 
 // do performs the synchronous handshake for one operation. In warm mode it
 // commits through the sink's generic ApplyOp instead (via the warmOp scratch
@@ -238,10 +234,10 @@ type threadRunner struct {
 	stopped bool
 }
 
-// startThread builds the coroutine running fn as a simulated thread for core
-// id. The thread body does not start executing until the first next() call.
-func startThread(id int, fn ThreadFunc) *threadRunner {
-	ctx := &Ctx{id: id}
+// startThread builds the coroutine running fn as a simulated thread. The
+// thread body does not start executing until the first next() call.
+func startThread(fn ThreadFunc) *threadRunner {
+	ctx := &Ctx{}
 	next, stop := iter.Pull(func(yield func(Op) bool) {
 		ctx.yield = yield
 		defer func() {

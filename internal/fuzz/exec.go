@@ -154,7 +154,6 @@ func config(p *Program, opt Options) (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	cfg := sim.DefaultConfig(mode)
-	cfg.Engine = sim.EngineNaive // the watchdog's cycle hook disables skipping anyway
 	cfg.CheckOracle = true
 	cfg.CheckSWMR = true
 	cfg.SWMRPeriod = 16

@@ -21,10 +21,9 @@ func runSampledProgram(t *testing.T, p *Program, spec sample.Spec) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fuzz harness runs the naive engine with continuous oracles; the
-	// sampled engine requires the skip engine and does its own boundary-time
-	// checking instead.
-	cfg.Engine = sim.EngineSkip
+	// The fuzz harness runs continuous oracles under its watchdog's cycle
+	// hook (the naive policy); a sampled run drops them (warming commits
+	// bypass them) and checks invariants at window boundaries instead.
 	cfg.CheckOracle = false
 	cfg.CheckSWMR = false
 	cfg.SWMRPeriod = 0

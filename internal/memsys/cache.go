@@ -94,9 +94,6 @@ func (c *SetAssoc[V]) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *SetAssoc[V]) Ways() int { return c.ways }
 
-// BlockSize returns the block size in bytes.
-func (c *SetAssoc[V]) BlockSize() int { return c.blockSize }
-
 // Entries returns the total number of entries.
 func (c *SetAssoc[V]) Entries() int { return c.sets * c.ways }
 

@@ -17,9 +17,6 @@ func NewMemory(blockSize int) *Memory {
 	return &Memory{blockSize: blockSize, blocks: make(map[Addr][]byte)}
 }
 
-// BlockSize returns the block size in bytes.
-func (m *Memory) BlockSize() int { return m.blockSize }
-
 // ReadBlock returns a copy of the block containing a.
 func (m *Memory) ReadBlock(a Addr) []byte {
 	a = a.BlockAlign(m.blockSize)

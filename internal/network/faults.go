@@ -116,12 +116,7 @@ type Sabotage struct {
 	Nth  int // 1-based among sent messages with opcode Op
 
 	seen int
-	hits int
 }
-
-// Hits reports how many times the sabotage actually fired (0 if the targeted
-// message never occurred in the run).
-func (s *Sabotage) Hits() int { return s.hits }
 
 // SetSabotage installs a sabotage hook (validation only). nil disables it.
 func (n *Network) SetSabotage(s *Sabotage) { n.sabotage = s }
@@ -138,7 +133,6 @@ func (n *Network) applySabotage(m *Msg, readyAt uint64) (uint64, bool) {
 	if s.seen != s.Nth {
 		return readyAt, false
 	}
-	s.hits++
 	switch s.Mode {
 	case SabotageDrop:
 		return readyAt, true

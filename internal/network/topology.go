@@ -57,7 +57,7 @@ const (
 // topology holds the routing tables and per-link reservation state of a ring
 // or mesh NoC. All state mutates only inside routeLatency, which runs in
 // deterministic global send order, so link contention is reproducible
-// bit-for-bit across engines.
+// bit-for-bit across stepping policies.
 type topology struct {
 	kind TopoKind
 	hop  uint64 // per-hop (router-to-router) latency in cycles

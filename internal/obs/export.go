@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -203,4 +204,31 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(&out)
+}
+
+// WriteFiles writes the attachment's outputs: the Chrome trace-event JSON to
+// tracePath and the interval metrics CSV to metricsPath; an empty path skips
+// that file. A failure to create, write or close a file is returned, so a
+// truncated output never goes unreported.
+func (o *Obs) WriteFiles(tracePath, metricsPath string) error {
+	if err := writeFile(tracePath, func(w io.Writer) error { return WriteChromeTrace(w, o.Tracer.Events()) }); err != nil {
+		return err
+	}
+	return writeFile(metricsPath, func(w io.Writer) error { return o.Metrics.WriteCSV(w) })
+}
+
+// writeFile creates path and fills it with write; "" writes nothing.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

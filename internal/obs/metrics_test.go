@@ -74,54 +74,3 @@ func TestWriteCSVGolden(t *testing.T) {
 		t.Errorf("WriteCSV golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
-
-// TestWritePrometheusGolden pins the text exposition output: last counter
-// sample as counter families, histograms with cumulative le buckets.
-func TestWritePrometheusGolden(t *testing.T) {
-	m := NewMetrics(Config{MetricsInterval: 100})
-	m.Sample(100, map[string]uint64{"net.msgs": 7})
-	m.Sample(200, map[string]uint64{"net.msgs": 19, "l1d.misses": 3})
-	h := m.Hist("l1.miss-latency")
-	for _, v := range []uint64{0, 5, 5, 900} {
-		h.Observe(v)
-	}
-	var buf bytes.Buffer
-	if err := m.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	const want = `# Snapshot at cycle 200.
-# TYPE l1d_misses counter
-l1d_misses 3
-# TYPE net_msgs counter
-net_msgs 19
-# TYPE l1_miss_latency histogram
-l1_miss_latency_bucket{le="0"} 1
-l1_miss_latency_bucket{le="7"} 3
-l1_miss_latency_bucket{le="1023"} 4
-l1_miss_latency_bucket{le="+Inf"} 4
-l1_miss_latency_sum 910
-l1_miss_latency_count 4
-`
-	if got := buf.String(); got != want {
-		t.Errorf("WritePrometheus golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-
-	var nilM *Metrics
-	if err := nilM.WritePrometheus(&buf); err != nil {
-		t.Error("nil Metrics WritePrometheus must be a no-op")
-	}
-}
-
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"l1.miss_latency": "l1_miss_latency",
-		"net msgs/sec":    "net_msgs_sec",
-		"9lives":          "_9lives",
-		"ok_name:sub":     "ok_name:sub",
-	}
-	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -213,6 +215,45 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if !sawSpan || !sawBegin || !sawTerm {
 		t.Fatalf("span=%v begin=%v term=%v, want all true", sawSpan, sawBegin, sawTerm)
+	}
+}
+
+// TestWriteFiles: the shared -trace/-metrics writer produces exactly the
+// exporters' bytes, skips empty paths (even on a nil attachment) and reports
+// a file it cannot create.
+func TestWriteFiles(t *testing.T) {
+	o := New(Config{MetricsInterval: 100})
+	o.Tracer.Emit(Event{Cycle: 10, Kind: KindNetSend, Core: 0, Slice: -1, Addr: 0x40, Name: "GetX", Arg: 1, Arg2: PackSrcDst(0, 8)})
+	o.Metrics.Sample(100, map[string]uint64{"a": 1})
+	var wantTrace, wantCSV bytes.Buffer
+	if err := WriteChromeTrace(&wantTrace, o.Tracer.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Metrics.WriteCSV(&wantCSV); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	tracePath, csvPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.csv")
+	if err := o.WriteFiles(tracePath, csvPath); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]byte{tracePath: wantTrace.Bytes(), csvPath: wantCSV.Bytes()} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: got %d bytes, want the exporter's %d", path, len(got), len(want))
+		}
+	}
+
+	var nilObs *Obs
+	if err := nilObs.WriteFiles("", ""); err != nil {
+		t.Errorf("empty paths must write nothing: %v", err)
+	}
+	if err := o.WriteFiles(filepath.Join(dir, "missing", "t.json"), ""); err == nil {
+		t.Error("an uncreatable trace path must fail")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package sample implements SMARTS-style interval sampling for the
 // simulator: execution alternates short detailed windows (full timing — the
-// existing engines, unchanged) with long functional-warming windows (a fast
+// ordinary cycle loop, unchanged) with long functional-warming windows (a fast
 // path that performs every architectural state change — caches, directory,
 // PAM/SAM, memory values — but no network timing, contention or event loop).
 //

@@ -203,7 +203,7 @@ func (s *System) Restore(ms *MachineState) error {
 
 // pollCancel folds the external cancellation flag (Config.Cancel, set by the
 // runner's watchdog) into the stop-reason mechanism. Polled once per loop
-// iteration in every engine, so a timed-out cell stops within one quantum.
+// iteration, so a timed-out cell stops within one quantum.
 func (s *System) pollCancel() {
 	if s.stopReason == "" && s.cfg.Cancel != nil && s.cfg.Cancel() {
 		s.stopReason = "canceled"
@@ -238,8 +238,8 @@ func (s *System) runCheckpointed(name string, maxCycles uint64) (*Result, error)
 		return nil, err
 	}
 	for {
-		// Timed window: the ordinary skip-engine loop, until the access
-		// budget is spent or the workload finishes.
+		// Timed window: the ordinary cycle loop, until the access budget
+		// is spent or the workload finishes.
 		finished, err := s.advance(name, maxCycles, s.cfg.CheckpointEvery, false)
 		if err != nil {
 			return nil, err

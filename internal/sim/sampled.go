@@ -51,13 +51,11 @@ func (s *System) SetBoundaryHook(fn func(cycle uint64)) { s.boundaryHook = fn }
 
 // sampleable reports whether the system has the shape the functional warmer
 // and drained window boundaries need, with the reason when it does not; what
-// names the feature asking ("sampling", "checkpointing"). That shape is the
-// skip engine, in-order cores and a two-level inclusive hierarchy,
-// with no commit observers or load oracle (warming commits bypass them).
+// names the feature asking ("sampling", "checkpointing"). That shape is
+// in-order cores and a two-level inclusive hierarchy, with no commit
+// observers or load oracle (warming commits bypass them).
 func (s *System) sampleable(what string) error {
 	switch {
-	case s.cfg.Engine == EngineNaive:
-		return fmt.Errorf("sim: %s requires the skip engine", what)
 	case s.cfg.OOO:
 		return fmt.Errorf("sim: %s requires in-order cores", what)
 	case s.cfg.Params.L2Entries > 0:
@@ -71,8 +69,8 @@ func (s *System) sampleable(what string) error {
 }
 
 // runSampled is the interval-sampling run loop: detailed windows measured by
-// the ordinary skip-engine cycle loop alternate with functional-warming
-// windows that commit operations through coherence.Warmer with no timing.
+// the ordinary cycle loop alternate with functional-warming windows that
+// commit operations through coherence.Warmer with no timing.
 // Every window boundary drains the machine first (issue held, outstanding
 // accesses retired), so warming always starts from — and detailed execution
 // always resumes into — a quiescent architectural state.

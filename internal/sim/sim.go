@@ -19,32 +19,10 @@ import (
 	"fscoherence/internal/stats"
 )
 
-// Engine selects the stepping policy. Every engine runs the same due-only
-// stepper (step.go) and is cycle-exact: they produce byte-identical results
-// (cycle counts, counter snapshots, traces, detections) for the same
-// configuration and workload.
-type Engine int
-
-const (
-	// EngineSkip, the default, ticks only the components that are due and
-	// fast-forwards over cycles in which none is. Components report their
-	// earliest wake-up (NextEvent / NextArrival) and compensate skipped
-	// per-cycle bookkeeping via SkipIdle, so the skip is invisible.
-	EngineSkip Engine = iota
-
-	// EngineNaive makes every component due every cycle and never skips —
-	// the reference policy skip is proven against (see
-	// TestEngineEquivalence). A registered cycle hook forces it.
-	EngineNaive
-)
-
 // Config describes one simulation run.
 type Config struct {
 	Params coherence.Params
 	Mode   coherence.Protocol
-
-	// Engine selects the simulation loop (default EngineSkip).
-	Engine Engine
 
 	// Core holds the FSDetect/FSLite tunables; ignored in Baseline mode.
 	// Cores/BlockSize/Mode are filled in from Params automatically.
@@ -82,7 +60,7 @@ type Config struct {
 	Forensics *forensics.Recorder
 
 	// Sample enables SMARTS-style interval sampling: detailed windows of
-	// Sample.Detailed committed accesses (full timing under the skip engine)
+	// Sample.Detailed committed accesses (full timing under the skip policy)
 	// alternate with functional-warming windows of Sample.Warming accesses (no
 	// timing; see coherence.Warmer). Timing-domain counters are estimated from
 	// the detailed windows with confidence intervals (Result.Sampled); all
@@ -106,8 +84,8 @@ type Config struct {
 	// byte-identical to its donor.
 	CheckpointSink func(*MachineState) error
 
-	// Cancel, when non-nil, is polled roughly once per loop iteration in
-	// every engine; when it returns true the run aborts with ErrStopped.
+	// Cancel, when non-nil, is polled roughly once per loop iteration; when
+	// it returns true the run aborts with ErrStopped.
 	// Unlike RequestStop it may be flipped from another goroutine (the
 	// runner's watchdog) as long as the func itself is race-free (e.g. an
 	// atomic load).
@@ -208,7 +186,7 @@ type System struct {
 	// stopReason, when non-empty, aborts the run loop (RequestStop).
 	stopReason string
 
-	// seq is the whole machine as one shard: the stepper of every engine.
+	// seq is the whole machine as one shard: the stepper of both policies.
 	seq *shard
 }
 
@@ -234,8 +212,9 @@ func (s *System) ensureObserver() {
 
 // SetCycleHook installs a function invoked at the start of every cycle
 // (testing: fault injection, external-socket accesses, live inspection). A
-// hook forces the naive policy — every component ticks every cycle and none
-// is skipped — so it may change any component's state.
+// hook selects the naive policy — every component ticks every cycle and none
+// is skipped — so it may change any component's state. A no-op hook is how
+// tests run the naive reference that the skip policy is proven against.
 func (s *System) SetCycleHook(fn func(cycle uint64)) {
 	s.cycleHook = fn
 	s.seq.wakeAll() // the naive policy keeps no wake-up caches

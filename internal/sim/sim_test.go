@@ -22,10 +22,26 @@ func testConfig(mode coherence.Protocol) Config {
 
 func mustRun(t *testing.T, cfg Config, wl Workload) *Result {
 	t.Helper()
+	return runPolicy(t, cfg, wl, false)
+}
+
+// runPolicy is mustRun under the skip policy, or with naive set under the
+// naive policy: a counting cycle hook makes every component due every cycle
+// and disables skipping. A fully timed naive run must show the hook every
+// cycle, or the reference itself skipped.
+func runPolicy(t *testing.T, cfg Config, wl Workload, naive bool) *Result {
+	t.Helper()
 	s := New(cfg, wl)
+	hookCalls := uint64(0)
+	if naive {
+		s.SetCycleHook(func(uint64) { hookCalls++ })
+	}
 	res, err := s.Run(wl.Name)
 	if err != nil {
 		t.Fatalf("run %s: %v\n%s", wl.Name, err, s.DumpState())
+	}
+	if naive && res.Sampled == nil && hookCalls != res.Cycles {
+		t.Errorf("naive run of %s stepped %d of %d cycles", wl.Name, hookCalls, res.Cycles)
 	}
 	for _, v := range res.OracleViolations {
 		t.Errorf("oracle: %s", v)

@@ -1,15 +1,16 @@
 package sim
 
-// The stepping core every engine shares.
+// The stepping core.
 //
 // A shard is the machine's components plus the due-only stepper that
-// advances them. The engines differ only in policy:
+// advances them under one of two policies:
 //
-//   - skip: tick only the components that are due, and fast-forward over
-//     cycles in which nothing is;
-//   - naive: every component is due every cycle and nothing is skipped (the
-//     reference oracle; a registered cycle hook forces it, since the hook
-//     must observe every cycle).
+//   - skip (the default): tick only the components that are due, and
+//     fast-forward over cycles in which nothing is;
+//   - naive: every component is due every cycle and nothing is skipped. An
+//     installed cycle hook selects it, since the hook must observe every
+//     cycle; tests install a no-op hook to run it as the reference the skip
+//     policy is proven against.
 //
 // A component is due at cycle c when its cached NextEvent is <= c. A cached
 // wake-up may be too early (the component ticks as a no-op) but never too
@@ -208,8 +209,9 @@ func (s *System) advance(name string, maxCycles, budget uint64, drain bool) (qui
 	return false, nil
 }
 
-// naive reports whether the run uses the naive policy.
-func (s *System) naive() bool { return s.cfg.Engine == EngineNaive || s.cycleHook != nil }
+// naive reports whether the run uses the naive policy: a cycle hook is
+// installed.
+func (s *System) naive() bool { return s.cycleHook != nil }
 
 // stepCycle runs one cycle: the cycle hook, the stepper, then the
 // cycle-boundary work (SWMR scan, metrics sample).
@@ -229,7 +231,7 @@ func (s *System) stepCycle() {
 
 // skipAhead advances the clock to the next wake-up under the skip
 // policy. SWMR-scan and metrics-sample boundaries are wake candidates (their
-// output embeds cycle numbers, and byte-identical output across engines is
+// output embeds cycle numbers, and byte-identical output across policies is
 // the contract), and so is maxCycles+1, so that ErrDeadlock fires at the same
 // cycle as under the naive policy.
 func (s *System) skipAhead(maxCycles uint64) {

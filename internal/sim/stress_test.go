@@ -589,19 +589,18 @@ func meshStressThreads(n, ops int, seed int64) []cpu.ThreadFunc {
 }
 
 // TestStressMeshNaiveVsSkip runs a seeded random program on a 32-core mesh
-// machine under FSLite with the naive and the skip engines. Mesh hops, link
+// machine under FSLite with the naive and the skip policies. Mesh hops, link
 // contention and privatization churn must not open any gap between them: the
 // cycle count and every counter must match exactly.
 func TestStressMeshNaiveVsSkip(t *testing.T) {
 	const cores, ops = 32, 150
-	run := func(e Engine) *Result {
+	run := func(naive bool) *Result {
 		cfg := DefaultConfig(coherence.FSLite)
 		cfg.Params = cfg.Params.ScaleToCores(cores)
 		cfg.Params.Topology = network.TopoMesh
-		cfg.Engine = e
-		return mustRun(t, cfg, Workload{Name: "mesh-stress", Threads: meshStressThreads(cores, ops, 7)})
+		return runPolicy(t, cfg, Workload{Name: "mesh-stress", Threads: meshStressThreads(cores, ops, 7)}, naive)
 	}
-	naive, skip := run(EngineNaive), run(EngineSkip)
+	naive, skip := run(true), run(false)
 	if naive.Cycles != skip.Cycles {
 		t.Errorf("cycles diverge: naive=%d skip=%d", naive.Cycles, skip.Cycles)
 	}

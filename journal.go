@@ -122,9 +122,8 @@ func (w *ResultWire) unwire() (*Result, error) {
 // Journal is an append-only campaign journal. Safe for concurrent use (the
 // worker pool records cells as they finish).
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu sync.Mutex
+	f  *os.File
 }
 
 // OpenJournal opens (creating if needed) a journal for appending.
@@ -133,11 +132,8 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{f: f, path: path}, nil
+	return &Journal{f: f}, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close closes the journal file.
 func (j *Journal) Close() error {

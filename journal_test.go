@@ -1,6 +1,7 @@
 package fscoherence
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,57 @@ import (
 func journalPath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "campaign.jsonl")
+}
+
+// TestJournalIgnoresLegacyEngineKey: journals written by older builds carry
+// an "Engine" key in every cell's options. Loading one must prime the same
+// cell: encoding/json ignores the unknown key, and the cell key no longer
+// has an engine.
+func TestJournalIgnoresLegacyEngineKey(t *testing.T) {
+	path := journalPath(t)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Protocol: FSDetect, Scale: testScale}
+	r1 := NewRunner(1)
+	r1.SetJournal(j)
+	ref, err := r1.Run("RC", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(data, []byte(`"opt":{`), []byte(`"opt":{"Engine":"skip",`), 1)
+	if bytes.Equal(legacy, data) {
+		t.Fatalf("journal record has no opt object: %s", data)
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := NewRunner(1)
+	primed, err := r2.ResumeJournal(path)
+	if err != nil {
+		t.Fatalf("ResumeJournal: %v", err)
+	}
+	if primed != 1 {
+		t.Fatalf("primed %d cells from the legacy journal, want 1", primed)
+	}
+	res, err := r2.Run("RC", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireByteIdentical(t, ref, res)
+	r2.Wait()
+	if rep := r2.Report(); rep.Executed != 0 {
+		t.Fatalf("legacy-primed cell reran: executed %d cells, want 0", rep.Executed)
+	}
 }
 
 // TestJournalResumePrimesCompletedCells: run a small campaign with a journal,

@@ -2,6 +2,7 @@ package fscoherence
 
 import (
 	"fmt"
+	"strings"
 
 	"fscoherence/internal/coherence"
 	"fscoherence/internal/core"
@@ -39,6 +40,20 @@ const (
 	LayoutPadded  = workload.VariantPadded
 	LayoutHuron   = workload.VariantHuron
 )
+
+// ParseVariant maps a -variant flag value (default, padded or huron,
+// case-insensitive; alias manual for the hand-padded layout) to a Variant.
+func ParseVariant(s string) (Variant, error) {
+	switch strings.ToLower(s) {
+	case "default", "":
+		return LayoutDefault, nil
+	case "padded", "manual":
+		return LayoutPadded, nil
+	case "huron":
+		return LayoutHuron, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q (want default, padded or huron)", s)
+}
 
 // Detection re-exports the FSDetect report entry.
 type Detection = core.Detection
@@ -93,11 +108,6 @@ type Options struct {
 	// MaxCycles bounds the run (0 = default guard).
 	MaxCycles uint64
 
-	// Engine selects the simulation loop: "" or "skip" for the quiescence-
-	// skipping engine (the default), "naive" for the cycle-stepped reference
-	// loop. Both are cycle-exact and produce byte-identical results.
-	Engine string
-
 	// Cores scales the machine to an n-core big-machine configuration
 	// (power of two up to 256; 0 = the Table II 8-core default). Slice
 	// count and LLC capacity scale with it (see coherence.ScaleToCores).
@@ -129,8 +139,8 @@ type Options struct {
 	// with no timing, keeping detection and repair state warm. Timing-domain
 	// metrics come back as estimates with confidence intervals
 	// (Result.Sampled); all other counters are exact. Sampling requires the
-	// default machine shape: skip engine, in-order cores, two-level inclusive
-	// hierarchy, no Verify/Obs/Forensics attachments.
+	// default machine shape: in-order cores, two-level inclusive hierarchy,
+	// no Verify/Obs/Forensics attachments.
 	Sample string
 }
 
@@ -180,8 +190,7 @@ type Result struct {
 	Sampled *SampledRun
 
 	// Warnings reports non-fatal degradations of a crash-resilient run
-	// (RunControlled): an engine fallback for checkpointing, or a rejected
-	// checkpoint that forced a cold start.
+	// (RunControlled): a rejected checkpoint that forced a cold start.
 	Warnings []string
 }
 
@@ -231,15 +240,10 @@ func (r *Result) NormalizedEnergy(base *Result) float64 {
 }
 
 // validateMachine rejects unsupported machine-shape options with an error,
-// so the CLIs report bad -engine/-topology/-cores values cleanly instead of
+// so the CLIs report bad -topology/-cores values cleanly instead of
 // panicking (buildConfig's panics remain as backstops for callers that
 // bypass Run).
 func validateMachine(opt Options) error {
-	switch opt.Engine {
-	case "", "skip", "naive":
-	default:
-		return fmt.Errorf("unknown engine %q (want \"skip\" or \"naive\")", opt.Engine)
-	}
 	if _, err := network.ParseTopoKind(opt.Topology); err != nil {
 		return err
 	}
@@ -250,30 +254,30 @@ func validateMachine(opt Options) error {
 		if _, err := sample.ParseSpec(opt.Sample); err != nil {
 			return err
 		}
-		return sampleIncompatible(opt)
+		return drainableShape(opt, "-sample")
 	}
 	return nil
 }
 
-// sampleIncompatible reports why opt cannot run under interval sampling, or
-// nil when it can. The warming fast path models exactly the default machine:
-// in-order cores over a two-level inclusive hierarchy with no observers.
-func sampleIncompatible(opt Options) error {
+// drainableShape reports why opt cannot run with drained window boundaries —
+// interval sampling or checkpointing, named by what — or nil when it can.
+// Both model exactly the default machine: in-order cores over a two-level
+// inclusive hierarchy with no oracle or observers (warming commits bypass
+// them, and their state is not serialized).
+func drainableShape(opt Options, what string) error {
 	switch {
-	case opt.Engine != "" && opt.Engine != "skip":
-		return fmt.Errorf("-sample requires the skip engine, not %q", opt.Engine)
 	case opt.OOO:
-		return fmt.Errorf("-sample supports only the in-order core model")
+		return fmt.Errorf("%s supports only the in-order core model", what)
 	case opt.Verify:
-		return fmt.Errorf("-sample is incompatible with -verify: warming commits bypass the golden-memory oracle")
+		return fmt.Errorf("%s is incompatible with -verify: the golden-memory oracle is neither warmed nor serialized", what)
 	case opt.Obs != nil:
-		return fmt.Errorf("-sample is incompatible with observability attachments: warming commits emit no events")
+		return fmt.Errorf("%s is incompatible with observability attachments", what)
 	case opt.Forensics != nil:
-		return fmt.Errorf("-sample is incompatible with forensics recording: warming commits emit no events")
+		return fmt.Errorf("%s is incompatible with forensics recording", what)
 	case opt.L2KB > 0:
-		return fmt.Errorf("-sample requires the two-level hierarchy (drop -l2kb)")
+		return fmt.Errorf("%s requires the two-level hierarchy (drop -l2kb)", what)
 	case opt.NonInclusiveLLC:
-		return fmt.Errorf("-sample requires the inclusive LLC (drop -noninclusive)")
+		return fmt.Errorf("%s requires the inclusive LLC (drop -noninclusive)", what)
 	}
 	return nil
 }
@@ -311,14 +315,6 @@ func buildConfig(opt Options) sim.Config {
 	cfg.CheckSWMR = opt.Verify
 	if opt.MaxCycles > 0 {
 		cfg.MaxCycles = opt.MaxCycles
-	}
-	switch opt.Engine {
-	case "", "skip":
-		cfg.Engine = sim.EngineSkip
-	case "naive":
-		cfg.Engine = sim.EngineNaive
-	default:
-		panic(fmt.Sprintf("fscoherence: unknown engine %q (want \"skip\" or \"naive\")", opt.Engine))
 	}
 	if opt.Cores > 0 {
 		cfg.Params = cfg.Params.ScaleToCores(opt.Cores)

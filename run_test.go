@@ -16,8 +16,6 @@ func TestRunUnknownBenchmark(t *testing.T) {
 
 func TestRunRejectsBadMachineOptions(t *testing.T) {
 	for _, opt := range []Options{
-		{Engine: "bogus"},
-		{Engine: "parallel"},
 		{Topology: "torus"},
 		{Cores: 100},
 		{Cores: -8},
@@ -34,6 +32,32 @@ func TestRunRejectsBadMachineOptions(t *testing.T) {
 	} {
 		if _, err := Run("uWW", opt); err != nil {
 			t.Errorf("Run(uWW, %+v): %v", opt, err)
+		}
+	}
+}
+
+func TestParseVariant(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Variant
+		ok   bool
+	}{
+		{"", LayoutDefault, true},
+		{"default", LayoutDefault, true},
+		{"padded", LayoutPadded, true},
+		{"manual", LayoutPadded, true},
+		{"Padded", LayoutPadded, true},
+		{"huron", LayoutHuron, true},
+		{"HURON", LayoutHuron, true},
+		{"pad", 0, false},
+		{"bogus", 0, false},
+	} {
+		got, err := ParseVariant(c.in)
+		if c.ok && (err != nil || got != c.want) {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("ParseVariant(%q) = %v; want an error", c.in, got)
 		}
 	}
 }

@@ -20,13 +20,13 @@ type digestCell struct {
 }
 
 // digestCells lists the pinned cells: the 24 Fig 14a cells (every
-// false-sharing app under Baseline, FSDetect and FSLite) on the skip engine,
+// false-sharing app under Baseline, FSDetect and FSLite) on the skip policy,
 // one 64-core mesh uGRID FSLite cell and one small interval-sampled cell.
 func digestCells() []digestCell {
 	var cells []digestCell
 	for _, b := range FalseSharingBenchmarks() {
 		for _, p := range []Protocol{Baseline, FSDetect, FSLite} {
-			cells = append(cells, digestCell{b, Options{Protocol: p, Scale: engineEquivalenceScale, Engine: "skip"}})
+			cells = append(cells, digestCell{b, Options{Protocol: p, Scale: engineEquivalenceScale}})
 		}
 	}
 	return append(cells,

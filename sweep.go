@@ -27,7 +27,6 @@ import (
 // historical serial harness exactly.
 type Runner struct {
 	eng       *runner.Engine
-	engine    string
 	cores     int
 	topology  string
 	sample    string
@@ -58,12 +57,6 @@ func NewRunner(workers int) *Runner {
 
 // Workers returns the concurrency bound.
 func (r *Runner) Workers() int { return r.eng.Workers() }
-
-// SetEngine sets the default simulation engine ("skip" or "naive") applied to
-// submitted cells that do not specify one. cmd/fsexp's -engine flag uses it to
-// rerun entire tables under the naive reference loop; results are identical
-// either way (the engines are proven equivalent), only wall-clock differs.
-func (r *Runner) SetEngine(engine string) { r.engine = engine }
 
 // SetSample sets a default -sample interval spec ("detailed:warming" in
 // committed accesses) applied to submitted cells that do not specify one.
@@ -156,18 +149,11 @@ type Future struct {
 	h     *runner.Handle
 }
 
-// Submit schedules one cell and returns a future. Scale and Engine are
-// normalized before keying so Options{Scale: 0} and Options{Scale: 1} (and
-// Engine "" and "skip") share a cell.
+// Submit schedules one cell and returns a future. Scale is normalized
+// before keying so Options{Scale: 0} and Options{Scale: 1} share a cell.
 func (r *Runner) Submit(bench string, opt Options) *Future {
 	if opt.Scale == 0 {
 		opt.Scale = 1
-	}
-	if opt.Engine == "" {
-		opt.Engine = r.engine
-	}
-	if opt.Engine == "" {
-		opt.Engine = "skip"
 	}
 	if opt.Cores == 0 {
 		opt.Cores = r.cores
@@ -178,7 +164,7 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 	if opt.Topology == "flat" {
 		opt.Topology = "" // one cell for the two spellings of the default
 	}
-	if opt.Sample == "" && r.sample != "" && sampleIncompatible(opt) == nil {
+	if opt.Sample == "" && r.sample != "" && drainableShape(opt, "-sample") == nil {
 		opt.Sample = r.sample
 	}
 	key := cellKey{Bench: bench, Opt: opt}

@@ -120,13 +120,13 @@ func TestChromeTraceAcceptance(t *testing.T) {
 }
 
 // traceMesh runs RC under FSLite on a 16-core mesh machine with the given
-// engine and renders the tracer's event stream in the golden single-line
-// format.
-func traceMesh(t *testing.T, engine string) ([]obs.Event, string) {
+// policy's runner and renders the tracer's event stream in the golden
+// single-line format.
+func traceMesh(t *testing.T, run func(string, Options) (*Result, error)) ([]obs.Event, string) {
 	t.Helper()
 	o := obs.New(obs.Config{})
-	_, err := Run("RC", Options{
-		Protocol: FSLite, Scale: 0.2, Engine: engine,
+	_, err := run("RC", Options{
+		Protocol: FSLite, Scale: 0.2,
 		Cores: 16, Topology: "mesh", Obs: o,
 	})
 	if err != nil {
@@ -143,16 +143,16 @@ func traceMesh(t *testing.T, engine string) ([]obs.Event, string) {
 
 // TestMeshTraceEngineAttribution is the golden-trace attribution check on a
 // big-machine configuration: on a 16-core mesh the tracer must produce a
-// byte-identical event stream under both engines (skip and the cycle-stepped
+// byte-identical event stream under both policies (skip and the cycle-stepped
 // naive reference), and every net event's (core, slice) track assignment
 // must agree with the src/dst node pair it carries.
 func TestMeshTraceEngineAttribution(t *testing.T) {
-	events, golden := traceMesh(t, "skip")
+	events, golden := traceMesh(t, Run)
 	if len(events) == 0 {
 		t.Fatal("mesh trace contains no events")
 	}
-	if _, g := traceMesh(t, "naive"); g != golden {
-		t.Error("naive engine trace differs from the skip golden trace")
+	if _, g := traceMesh(t, runNaive); g != golden {
+		t.Error("naive policy trace differs from the skip golden trace")
 	}
 
 	// Attribution: a net.send is tracked at its source node, a net.recv at
