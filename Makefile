@@ -1,10 +1,9 @@
 # Tier-1 verification for the fscoherence reproduction.
 #
-#   make ci      — the full tier-1 gate: formatting, vet, build, tests, the
-#                  race detector over every package, the naive-vs-skip
-#                  equivalence suite (skip must be byte-identical to the
-#                  naive reference a no-op cycle hook selects),
-#                  and a zero-alloc smoke run of the network hot path.
+#   make ci      — the full tier-1 gate: check, the race detector over
+#                  every package, equiv, allocsmoke, samplecheck, ckptcheck
+#                  and fuzzsmoke. The host-time benchmark is fsbench
+#                  (BENCHMARK.json), outside this gate.
 #   make check   — static gate only: gofmt -l must be clean, PROTOCOL.md's
 #                  generated region must match internal/coherence/spec, the
 #                  spec package must godoc cleanly, then go vet and the unit
@@ -13,16 +12,9 @@
 #                  (run after editing the protocol tables).
 #   make test    — build + unit tests only (fast inner loop).
 #   make race    — race-detector pass only.
-#   make equiv   — naive-vs-skip equivalence tests only.
-#   make bench   — run the Benchmark* suite (-benchmem, one iteration each)
-#                  and capture the parsed results into BENCH_6.json. Includes
-#                  the sampled 10^9-access mesh-64 cell (~1 min).
-#   make benchdiff — compare BENCH_6.json against the previous snapshot
-#                  (BENCH_5.json); fails on a >15% regression in any tracked
-#                  deterministic metric (allocs/op, B/op, modelled results —
-#                  wall-clock ns/op is excluded as CI noise). Part of make ci;
-#                  skipped with a notice if BENCH_6.json has not been
-#                  captured on this machine.
+#   make equiv   — naive-vs-skip equivalence tests only (skip must be
+#                  byte-identical to the naive reference a no-op cycle hook
+#                  selects), including the differential fuzz slice.
 #   make samplecheck — the interval-sampling validation gate: sampled
 #                  estimates must land within tolerance of full reference
 #                  runs, and must be byte-identical across -j worker counts.
@@ -34,8 +26,9 @@
 #                  SIGKILL-mid-run smoke test under -race.
 #   make sweep   — regenerate the paper's tables (cells fan out over -j workers).
 #   make fuzzsmoke — CI-sized protocol fuzzing: a fixed 60-seed corpus across
-#                  the three protocols under fault injection, plus the oracle
-#                  selfcheck (seeded bugs must be caught and shrunk). ~30s.
+#                  the three protocols under fault injection, every oracle
+#                  running under the skip policy, plus the oracle selfcheck
+#                  (seeded bugs must be caught and shrunk). ~10s.
 #   make fuzz    — full fuzzing campaign (SEEDS=200 by default); not tier-1.
 #   make loc     — count the non-test Go lines of the main module (fsbench/
 #                  excluded), the size figure ROADMAP.md tracks.
@@ -44,9 +37,9 @@ GO ?= go
 GOFMT ?= gofmt
 SEEDS ?= 200
 
-.PHONY: ci check fmt test race equiv allocsmoke samplecheck ckptcheck bench benchdiff sweep fuzz fuzzsmoke specdocs speccheck loc
+.PHONY: ci check fmt test race equiv allocsmoke samplecheck ckptcheck sweep fuzz fuzzsmoke specdocs speccheck loc
 
-ci: check race equiv allocsmoke samplecheck ckptcheck fuzzsmoke benchdiff
+ci: check race equiv allocsmoke samplecheck ckptcheck fuzzsmoke
 
 check: fmt speccheck test
 
@@ -83,10 +76,12 @@ race:
 # it), the big-machine matrix, the machine shapes and attachments of
 # TestEngineEquivalenceAttachments (OOO, L2, non-inclusive LLC, forensics,
 # metrics, fault plans, sampled and checkpointed runs), golden-trace
-# byte-equality, and the spec-table dispatch reproducing its pinned results
-# across {naive,skip} x {flat,mesh} (engine_test.go, internal/sim).
+# byte-equality, the spec-table dispatch reproducing its pinned results
+# across {naive,skip} x {flat,mesh} (engine_test.go, internal/sim), and a
+# slice of the fuzzsmoke corpus with every oracle and fault injection on,
+# compared on cycles, final memory words and counters (internal/fuzz).
 equiv:
-	$(GO) test -run 'TestEngine' -count=1 . ./internal/sim/
+	$(GO) test -run 'TestEngine' -count=1 . ./internal/sim/ ./internal/fuzz/
 
 # The steady-state network round trip, the run loop, functional warming and
 # the disabled forensics recorder must not allocate; the benchmark's
@@ -109,23 +104,13 @@ ckptcheck:
 	$(GO) test -count=1 ./internal/checkpoint/
 	$(GO) test -race -run 'TestKillResumeSmoke|TestSupervised|TestBackoffDeterministic|TestPrimeMemo' -count=1 . ./internal/runner/
 
-bench:
-	$(GO) test -bench . -benchmem -benchtime=1x -run '^$$' ./... | $(GO) run ./cmd/benchjson -out BENCH_6.json
-
-# Regression gate over the checked-in snapshots. BENCH_6.json is machine-
-# dependent, so the diff only runs when a local capture exists.
-benchdiff:
-	@if [ -f BENCH_6.json ]; then \
-		$(GO) run ./cmd/benchjson -diff BENCH_6.json -prev BENCH_5.json; \
-	else \
-		echo "benchdiff: BENCH_6.json not captured (run 'make bench' first); skipping"; \
-	fi
-
 sweep:
 	$(GO) run ./cmd/fsexp -all
 
 # Fixed corpus + oracle selfcheck: deterministic, so a failure here is a real
-# regression, never flake. EXPERIMENTS.md §"Protocol fuzzing".
+# regression, never flake. Every oracle, the liveness watchdog included, runs
+# under the skip policy that real runs use. EXPERIMENTS.md §"Protocol
+# fuzzing".
 fuzzsmoke:
 	$(GO) run ./cmd/fsfuzz -seeds 60
 	$(GO) run ./cmd/fsfuzz -selfcheck

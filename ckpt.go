@@ -81,7 +81,7 @@ func (c RunControl) enabled() bool {
 // checkpoint/restore (sweeps use it to skip checkpointing on incompatible
 // cells instead of failing them).
 func CheckpointCompatible(opt Options) bool {
-	return drainableShape(opt, "checkpointing") == nil
+	return drainable(opt)
 }
 
 // ckptIdentity is the hashed identity of a checkpointed execution: the
@@ -159,8 +159,9 @@ func RunControlled(bench string, opt Options, ctl RunControl) (*Result, error) {
 		opt.Scale = 1
 	}
 	var warnings []string
+	cfg := buildConfig(opt)
 	if ctl.enabled() {
-		if err := drainableShape(opt, "checkpointing"); err != nil {
+		if err := cfg.DrainableShape("checkpointing"); err != nil {
 			return nil, err
 		}
 		if ctl.CheckpointEvery == 0 {
@@ -168,7 +169,6 @@ func RunControlled(bench string, opt Options, ctl RunControl) (*Result, error) {
 		}
 	}
 
-	cfg := buildConfig(opt)
 	// Cancellation is independent of checkpointing: a supervised cell polls
 	// its watchdog even when its options cannot checkpoint.
 	cfg.Cancel = ctl.Cancel

@@ -12,8 +12,8 @@ import (
 // riding along with the sampling engine): the closed-form PAM grain mask, the
 // PAM permission check and invalidation take, and the packed SAM merge-mask
 // expansion. Each batched benchmark is paired with a *LoopRef twin running the
-// pre-optimization per-grain/per-byte reference loop, so `benchjson -diff`
-// tracks both the optimized path and the speedup ratio across snapshots.
+// pre-optimization per-grain/per-byte reference loop, so one `go test -bench`
+// run shows both the optimized path and the speedup ratio.
 
 // maskLoopRef is the replaced per-grain PAM mask loop.
 func maskLoopRef(p *PAM, off, size int) uint64 {

@@ -206,7 +206,6 @@ type Line struct {
 
 	heat  [][]uint64 // [core][byte] committed-access counts
 	wmask [4]uint64  // cores that wrote the line (memsys.MaxCores bits)
-	rmask [4]uint64  // cores that read the line
 }
 
 // Heat returns the byte-access counts committed by core (nil when the core
@@ -231,9 +230,6 @@ func (ln *Line) Cores() []int {
 
 // Writers returns the cores that wrote the line, in increasing order.
 func (ln *Line) Writers() []int { return maskCores(&ln.wmask) }
-
-// Readers returns the cores that read the line, in increasing order.
-func (ln *Line) Readers() []int { return maskCores(&ln.rmask) }
 
 func maskCores(m *[4]uint64) []int {
 	var out []int
@@ -324,7 +320,6 @@ func (r *Recorder) OnAccess(blk memsys.Addr, core, off, size int, write bool, cy
 		setCore(&ln.wmask, core)
 	} else {
 		ln.Reads++
-		setCore(&ln.rmask, core)
 	}
 	if core < 0 {
 		return

@@ -43,6 +43,10 @@
 //     with its directory entry (owner exact, sharer sets consistent, no busy
 //     transactions); see oracle.go.
 //
+// All of them run under the simulator's skip policy: the SWMR scan and the
+// watchdog's stall scan are periodic boundaries the skip stops at, and the
+// other oracles are driven by commits or run after the drain.
+//
 // Campaign drives many seeds across all three protocols; cmd/fsfuzz is the
 // CLI, and `make fuzz` / `make fuzzsmoke` are the entry points (EXPERIMENTS.md
 // documents the workflow, including replaying a repro under -trace).

@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -11,6 +10,7 @@ import (
 	"fscoherence/internal/memsys"
 	"fscoherence/internal/network"
 	"fscoherence/internal/sim"
+	"fscoherence/internal/stats"
 )
 
 // Options tunes one Execute.
@@ -25,6 +25,10 @@ type Options struct {
 
 	// Obs optionally attaches the observability layer (replay under -trace).
 	Obs ObsAttacher
+
+	// setup, when set, runs on the assembled system before Run. Tests use it
+	// to select the naive reference policy.
+	setup func(*sim.System)
 }
 
 // ObsAttacher matches *obs.Obs without importing it here; Execute passes it
@@ -54,6 +58,11 @@ func (f *Failure) Error() string {
 type Outcome struct {
 	Cycles  uint64
 	Failure *Failure // nil when every oracle passed
+
+	// words and stats are a completed run's final tracked memory words (in
+	// reference order) and counters, which tests compare across policies.
+	words []uint64
+	stats *stats.Set
 }
 
 // reference is the sequentially consistent reference execution: the program's
@@ -291,6 +300,9 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 	}
 	wd := NewWatchdog(sys, cfg.Params.Cores, stall)
 	wd.Install()
+	if opt.setup != nil {
+		opt.setup(sys)
+	}
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -304,18 +316,15 @@ func Execute(p *Program, opt Options) (out *Outcome) {
 
 	res, err := sys.Run(wl.Name)
 	if err != nil {
-		switch {
-		case wd.Tripped():
+		if wd.Tripped() {
 			out.Cycles = wd.TripCycle()
 			out.Failure = &Failure{Kind: "stall", Detail: wd.Reason(), Dump: wd.Dump()}
-		case errors.Is(err, sim.ErrDeadlock):
-			out.Failure = &Failure{Kind: "deadlock", Detail: err.Error(), Dump: sys.DumpState()}
-		default:
+		} else {
 			out.Failure = &Failure{Kind: "deadlock", Detail: err.Error(), Dump: sys.DumpState()}
 		}
 		return out
 	}
-	out.Cycles = res.Cycles
+	out.Cycles, out.words, out.stats = res.Cycles, got, res.Stats
 
 	if len(res.OracleViolations) > 0 {
 		out.Failure = &Failure{Kind: "oracle", Detail: res.OracleViolations[0],

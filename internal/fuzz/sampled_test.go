@@ -21,9 +21,9 @@ func runSampledProgram(t *testing.T, p *Program, spec sample.Spec) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fuzz harness runs continuous oracles under its watchdog's cycle
-	// hook (the naive policy); a sampled run drops them (warming commits
-	// bypass them) and checks invariants at window boundaries instead.
+	// The fuzz harness runs continuous oracles; a sampled run drops them
+	// (warming commits bypass them) and checks invariants at window
+	// boundaries instead.
 	cfg.CheckOracle = false
 	cfg.CheckSWMR = false
 	cfg.SWMRPeriod = 0

@@ -29,8 +29,7 @@ type Watchdog struct {
 	dump      string
 }
 
-// checkEvery is the cycle-hook sampling period (power of two; the hook runs
-// every cycle, the stall scan only on multiples).
+// checkEvery is the period of the stall scan, in cycles.
 const checkEvery = 512
 
 // NewWatchdog builds a watchdog for sys with the given stall threshold.
@@ -38,14 +37,15 @@ func NewWatchdog(sys *sim.System, cores int, stall uint64) *Watchdog {
 	return &Watchdog{sys: sys, cores: cores, stall: stall, lastCommit: make([]uint64, cores)}
 }
 
-// Install wires the watchdog into the system's commit trace and cycle hook.
-// It must be called before Run, and claims both hooks for itself.
+// Install wires the watchdog into the system's commit trace, which it claims
+// for itself, and registers its stall scan as a periodic boundary, which
+// leaves the run on the skip policy. It must be called before Run.
 func (w *Watchdog) Install() {
 	w.sys.SetCommitTrace(func(cycle uint64, core int, kind string, a memsys.Addr, v []byte) {
 		w.lastCommit[core] = cycle
 	})
-	w.sys.SetCycleHook(func(cycle uint64) {
-		if cycle%checkEvery == 0 && !w.tripped {
+	w.sys.OnPeriod(checkEvery, func(cycle uint64) {
+		if !w.tripped {
 			w.check(cycle)
 		}
 	})

@@ -127,13 +127,6 @@ func (h *Handle) Wait() (any, error) {
 	return h.e.val, h.e.err
 }
 
-// Duration returns the task's execution time (zero for memo hits observed
-// before completion; call after Wait).
-func (h *Handle) Duration() time.Duration {
-	<-h.e.done
-	return h.e.dur
-}
-
 // New returns an engine running at most workers tasks at once. workers < 1
 // is clamped to 1; a 1-worker engine executes tasks inline in Do, in exact
 // submission order, reproducing a serial sweep bit-for-bit.

@@ -75,11 +75,11 @@ func DecodeMachineState(data []byte) (*MachineState, error) {
 }
 
 // checkpointable reports whether the system supports checkpoint/restore,
-// with the reason when it cannot. The supported shape is the sampling shape
-// (sampleable) minus every further attachment whose state is not
-// serialized: SWMR scanning, fault plans, tracing, metrics, forensics.
+// with the reason when it cannot. The supported shape is the drainable shape
+// minus the further attachments whose state is not serialized: SWMR
+// scanning and fault plans.
 func (s *System) checkpointable() error {
-	if err := s.sampleable("checkpointing"); err != nil {
+	if err := s.drainable("checkpointing"); err != nil {
 		return err
 	}
 	switch {
@@ -87,10 +87,6 @@ func (s *System) checkpointable() error {
 		return fmt.Errorf("sim: checkpointing is incompatible with SWMR scanning (scan state is not serialized)")
 	case s.cfg.Faults != nil:
 		return fmt.Errorf("sim: checkpointing is incompatible with fault injection (fault clocks are not serialized)")
-	case s.tracer != nil || s.metrics != nil:
-		return fmt.Errorf("sim: checkpointing is incompatible with observability attachments")
-	case s.cfg.Forensics != nil:
-		return fmt.Errorf("sim: checkpointing is incompatible with forensics recording")
 	}
 	return nil
 }

@@ -49,21 +49,39 @@ type SampledRun struct {
 // machine).
 func (s *System) SetBoundaryHook(fn func(cycle uint64)) { s.boundaryHook = fn }
 
-// sampleable reports whether the system has the shape the functional warmer
-// and drained window boundaries need, with the reason when it does not; what
-// names the feature asking ("sampling", "checkpointing"). That shape is
-// in-order cores and a two-level inclusive hierarchy, with no commit
-// observers or load oracle (warming commits bypass them).
-func (s *System) sampleable(what string) error {
+// DrainableShape reports why a run of cfg cannot have drained window
+// boundaries — interval sampling or checkpointing, named by what — or nil
+// when it can. Both model exactly the default machine: in-order cores over a
+// two-level inclusive hierarchy, with no load oracle, observability or
+// forensics attached (warming commits bypass them, and their state is not
+// serialized). It is the one copy of this rule; the public API applies it to
+// the configuration it builds.
+func (cfg Config) DrainableShape(what string) error {
 	switch {
-	case s.cfg.OOO:
-		return fmt.Errorf("sim: %s requires in-order cores", what)
-	case s.cfg.Params.L2Entries > 0:
-		return fmt.Errorf("sim: %s requires a two-level hierarchy (no private L2)", what)
-	case s.cfg.Params.NonInclusiveLLC:
-		return fmt.Errorf("sim: %s requires an inclusive LLC", what)
-	case s.oracle != nil || s.observerInstalled:
-		return fmt.Errorf("sim: %s is incompatible with commit observers and the load oracle", what)
+	case cfg.OOO:
+		return fmt.Errorf("%s supports only the in-order core model", what)
+	case cfg.Params.L2Entries > 0:
+		return fmt.Errorf("%s requires the two-level hierarchy (no private L2)", what)
+	case cfg.Params.NonInclusiveLLC:
+		return fmt.Errorf("%s requires the inclusive LLC", what)
+	case cfg.CheckOracle:
+		return fmt.Errorf("%s is incompatible with the golden-memory oracle: it is neither warmed nor serialized", what)
+	case cfg.Obs != nil:
+		return fmt.Errorf("%s is incompatible with observability attachments", what)
+	case cfg.Forensics != nil:
+		return fmt.Errorf("%s is incompatible with forensics recording", what)
+	}
+	return nil
+}
+
+// drainable applies DrainableShape to the system's configuration, and also
+// rejects a commit trace installed after construction.
+func (s *System) drainable(what string) error {
+	if err := s.cfg.DrainableShape(what); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if s.observerInstalled {
+		return fmt.Errorf("sim: %s is incompatible with commit observers", what)
 	}
 	return nil
 }
@@ -75,7 +93,7 @@ func (s *System) sampleable(what string) error {
 // accesses retired), so warming always starts from — and detailed execution
 // always resumes into — a quiescent architectural state.
 func (s *System) runSampled(name string, maxCycles uint64) (*Result, error) {
-	if err := s.sampleable("sampling"); err != nil {
+	if err := s.drainable("sampling"); err != nil {
 		return nil, err
 	}
 	if s.cfg.CheckpointSink != nil || s.resumedSample != nil {

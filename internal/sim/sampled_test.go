@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"fscoherence/internal/coherence"
 	"fscoherence/internal/cpu"
+	"fscoherence/internal/forensics"
+	"fscoherence/internal/obs"
 	"fscoherence/internal/sample"
 	"fscoherence/internal/stats"
 )
@@ -164,5 +167,35 @@ func TestSampledBoundaryQuiescence(t *testing.T) {
 	}
 	if boundaries < 4 {
 		t.Fatalf("only %d window boundaries fired", boundaries)
+	}
+}
+
+// TestSampledRejectsUnwarmedAttachments: warming commits bypass the
+// forensics recorder and the metrics sampler, so a sampled run with either
+// attached must fail with a named error instead of returning a silently
+// partial record or series.
+func TestSampledRejectsUnwarmedAttachments(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		attach func(*Config)
+		want   string
+	}{
+		{"forensics", func(c *Config) { c.Forensics = forensics.New() }, "forensics"},
+		{"metrics-only obs", func(c *Config) { c.Obs = &obs.Obs{Metrics: obs.NewMetrics(obs.Config{})} }, "observability"},
+	} {
+		cfg := sampledConfig(coherence.FSLite, "50:150")
+		tc.attach(&cfg)
+		wl := Workload{Name: "sampled-reject", Threads: []cpu.ThreadFunc{func(c *cpu.Ctx) {
+			for i := 0; i < 400; i++ {
+				c.Store(addr(i%32, 0), 8, uint64(i))
+			}
+		}}}
+		res, err := New(cfg, wl).Run(wl.Name)
+		if err == nil || res != nil {
+			t.Fatalf("%s: sampled run returned (%v, %v), want an error", tc.name, res, err)
+		}
+		if !strings.Contains(err.Error(), "sampling") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name sampling and %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -64,8 +64,8 @@ type Config struct {
 	// alternate with functional-warming windows of Sample.Warming accesses (no
 	// timing; see coherence.Warmer). Timing-domain counters are estimated from
 	// the detailed windows with confidence intervals (Result.Sampled); all
-	// other counters accrue exactly. Requires the in-order two-level inclusive
-	// machine with no observers (see sampled.go for the full gating).
+	// other counters accrue exactly. Requires the shape DrainableShape
+	// accepts; Run rejects any other with an error.
 	Sample sample.Spec
 
 	// CheckpointEvery enables periodic checkpointing: for detailed runs, a
@@ -73,8 +73,8 @@ type Config struct {
 	// snapshot at the first existing window boundary after N accesses (no
 	// extra drains). 0 disables. The cadence is part of the run's semantics:
 	// drains perturb timing, so byte-equality is defined per cadence (see
-	// checkpoint.go). Requires the same machine shape as sampling plus no
-	// oracles/observers/faults/obs/forensics.
+	// checkpoint.go). Requires the shape DrainableShape accepts, with no
+	// SWMR scanning or fault plan either.
 	CheckpointEvery uint64
 
 	// CheckpointSink receives the machine state at each checkpoint boundary.
@@ -175,8 +175,13 @@ type System struct {
 	// commitTrace, when set (tests), receives every architectural commit.
 	commitTrace func(cycle uint64, core int, kind string, a memsys.Addr, v []byte)
 
-	// cycleHook, when set (tests), runs at the start of every cycle.
+	// cycleHook, when set (tests), runs at the start of every cycle and
+	// selects the naive policy.
 	cycleHook func(cycle uint64)
+
+	// periodics are the cycle-periodic boundaries, in registration order
+	// (OnPeriod).
+	periodics []periodic
 
 	// boundaryHook, when set (tests), runs at every sampling window boundary,
 	// right after the drain: the machine is architecturally quiescent when it
@@ -210,11 +215,13 @@ func (s *System) ensureObserver() {
 	}
 }
 
-// SetCycleHook installs a function invoked at the start of every cycle
-// (testing: fault injection, external-socket accesses, live inspection). A
-// hook selects the naive policy — every component ticks every cycle and none
-// is skipped — so it may change any component's state. A no-op hook is how
-// tests run the naive reference that the skip policy is proven against.
+// SetCycleHook is the test-only switch to the naive policy: it installs a
+// function invoked at the start of every cycle, and while one is installed
+// every component ticks every cycle and none is skipped, so the hook may
+// change any component's state (fault injection, external-socket accesses,
+// live inspection). A no-op hook runs the naive reference that the skip
+// policy is proven against. Production code never installs one: work at
+// fixed cycles registers a periodic boundary (OnPeriod) instead.
 func (s *System) SetCycleHook(fn func(cycle uint64)) {
 	s.cycleHook = fn
 	s.seq.wakeAll() // the naive policy keeps no wake-up caches
@@ -351,6 +358,12 @@ func New(cfg Config, wl Workload) *System {
 		}
 	}
 	s.seq = newShard(s.net, s.dirs, s.l1s, s.cores)
+	if cfg.CheckSWMR {
+		s.OnPeriod(cfg.SWMRPeriod, func(uint64) { s.checkSWMR() })
+	}
+	if m := s.metrics; m != nil {
+		s.OnPeriod(m.Interval, func(c uint64) { m.Sample(c, s.stats.Snapshot()) })
+	}
 	// Checkpointing needs the result log armed from the very first committed
 	// operation so threads can be replayed at any later snapshot (and so a
 	// restored thread's re-seeded log keeps growing). Arming is free on the
@@ -394,8 +407,8 @@ func (s *System) CoreFinished(i int) bool { return s.cores[i].Finished() }
 
 // RequestStop asks the run loop to abort at the end of the current cycle
 // with ErrStopped wrapping the given reason. Intended to be called from a
-// cycle hook or commit trace (e.g. the fuzzing watchdog); safe to call more
-// than once — the first reason wins.
+// periodic boundary or commit trace (e.g. the fuzzing watchdog); safe to
+// call more than once — the first reason wins.
 func (s *System) RequestStop(reason string) {
 	if s.stopReason == "" {
 		s.stopReason = reason

@@ -7,10 +7,14 @@ package sim
 //
 //   - skip (the default): tick only the components that are due, and
 //     fast-forward over cycles in which nothing is;
-//   - naive: every component is due every cycle and nothing is skipped. An
-//     installed cycle hook selects it, since the hook must observe every
-//     cycle; tests install a no-op hook to run it as the reference the skip
-//     policy is proven against.
+//   - naive: every component is due every cycle and nothing is skipped. It
+//     is the test-only reference the skip policy is proven against, selected
+//     by installing a cycle hook (SetCycleHook); no production code does.
+//
+// Work that must run at fixed cycles (the SWMR scan, the metrics sample, the
+// fuzz liveness watchdog) registers a periodic boundary instead of a hook:
+// both policies run it after the step of every multiple of its period, and
+// skipping never jumps past one.
 //
 // A component is due at cycle c when its cached NextEvent is <= c. A cached
 // wake-up may be too early (the component ticks as a no-op) but never too
@@ -213,37 +217,49 @@ func (s *System) advance(name string, maxCycles, budget uint64, drain bool) (qui
 // installed.
 func (s *System) naive() bool { return s.cycleHook != nil }
 
-// stepCycle runs one cycle: the cycle hook, the stepper, then the
-// cycle-boundary work (SWMR scan, metrics sample).
+// periodic is one cycle-periodic boundary: fn runs after the step of every
+// multiple of period.
+type periodic struct {
+	period uint64
+	fn     func(cycle uint64)
+}
+
+// OnPeriod registers fn to run after the step of every cycle that is a
+// multiple of period, after the callbacks registered before it. New registers
+// the SWMR scan, then the metrics sample. Skipping stops at every such cycle,
+// so fn sees the same cycles and the same machine under both policies; it
+// may read any state and call RequestStop, but must not change the machine.
+func (s *System) OnPeriod(period uint64, fn func(cycle uint64)) {
+	s.periodics = append(s.periodics, periodic{period, fn})
+}
+
+// stepCycle runs one cycle: the cycle hook, the stepper, then the periodic
+// boundaries that fall on it.
 func (s *System) stepCycle() {
 	if s.cycleHook != nil {
 		s.net.SetCycle(s.cycle) // the hook may inject network traffic
 		s.cycleHook(s.cycle)
 	}
 	s.seq.step(s.cycle, s.naive())
-	if s.cfg.CheckSWMR && s.cycle%s.cfg.SWMRPeriod == 0 {
-		s.checkSWMR()
-	}
-	if m := s.metrics; m != nil && s.cycle%m.Interval == 0 {
-		m.Sample(s.cycle, s.stats.Snapshot())
+	for _, p := range s.periodics {
+		if s.cycle%p.period == 0 {
+			p.fn(s.cycle)
+		}
 	}
 }
 
-// skipAhead advances the clock to the next wake-up under the skip
-// policy. SWMR-scan and metrics-sample boundaries are wake candidates (their
-// output embeds cycle numbers, and byte-identical output across policies is
-// the contract), and so is maxCycles+1, so that ErrDeadlock fires at the same
-// cycle as under the naive policy.
+// skipAhead advances the clock to the next wake-up under the skip policy.
+// Every periodic boundary is a wake candidate (their output embeds cycle
+// numbers, and byte-identical output across policies is the contract), and
+// so is maxCycles+1, so that ErrDeadlock fires at the same cycle as under
+// the naive policy.
 func (s *System) skipAhead(maxCycles uint64) {
 	if s.naive() {
 		return
 	}
 	limit := maxCycles + 1
-	if s.cfg.CheckSWMR {
-		limit = min(limit, nextMultiple(s.cycle, s.cfg.SWMRPeriod))
-	}
-	if m := s.metrics; m != nil {
-		limit = min(limit, nextMultiple(s.cycle, m.Interval))
+	for _, p := range s.periodics {
+		limit = min(limit, nextMultiple(s.cycle, p.period))
 	}
 	s.cycle = s.seq.skipTo(s.cycle, limit)
 }

@@ -254,32 +254,17 @@ func validateMachine(opt Options) error {
 		if _, err := sample.ParseSpec(opt.Sample); err != nil {
 			return err
 		}
-		return drainableShape(opt, "-sample")
+		return buildConfig(opt).DrainableShape("-sample")
 	}
 	return nil
 }
 
-// drainableShape reports why opt cannot run with drained window boundaries —
-// interval sampling or checkpointing, named by what — or nil when it can.
-// Both model exactly the default machine: in-order cores over a two-level
-// inclusive hierarchy with no oracle or observers (warming commits bypass
-// them, and their state is not serialized).
-func drainableShape(opt Options, what string) error {
-	switch {
-	case opt.OOO:
-		return fmt.Errorf("%s supports only the in-order core model", what)
-	case opt.Verify:
-		return fmt.Errorf("%s is incompatible with -verify: the golden-memory oracle is neither warmed nor serialized", what)
-	case opt.Obs != nil:
-		return fmt.Errorf("%s is incompatible with observability attachments", what)
-	case opt.Forensics != nil:
-		return fmt.Errorf("%s is incompatible with forensics recording", what)
-	case opt.L2KB > 0:
-		return fmt.Errorf("%s requires the two-level hierarchy (drop -l2kb)", what)
-	case opt.NonInclusiveLLC:
-		return fmt.Errorf("%s requires the inclusive LLC (drop -noninclusive)", what)
-	}
-	return nil
+// drainable reports whether opt can run with drained window boundaries
+// (interval sampling, checkpointing). The rule is sim's
+// (Config.DrainableShape), applied to the configuration opt builds; a machine
+// validateMachine rejects cannot.
+func drainable(opt Options) bool {
+	return validateMachine(opt) == nil && buildConfig(opt).DrainableShape("") == nil
 }
 
 // buildConfig translates Options into the simulator configuration.

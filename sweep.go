@@ -164,7 +164,7 @@ func (r *Runner) Submit(bench string, opt Options) *Future {
 	if opt.Topology == "flat" {
 		opt.Topology = "" // one cell for the two spellings of the default
 	}
-	if opt.Sample == "" && r.sample != "" && drainableShape(opt, "-sample") == nil {
+	if opt.Sample == "" && r.sample != "" && drainable(opt) {
 		opt.Sample = r.sample
 	}
 	key := cellKey{Bench: bench, Opt: opt}
